@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -26,19 +27,17 @@ from .corpus import (
     REPORT_COLUMNS,
     CorpusEntry,
     Genre,
-    GroupKey,
     Language,
     Origin,
     load_bundled_tables,
     load_manifest,
     load_report,
     load_text,
-    select_group,
 )
 from .models import fit_entropy_model, fit_heaps, load_language_params
 from .pipeline import AnalysisError, TextMetrics, analyze_text
 from .profile import build_profile
-from .stats import linear_regression, pearson, summarize, t_test
+from .stats import linear_regression
 from .tokenizer import tokenize
 from .wqs import load_wqs_presets, wqs, StylePoint
 from .zipf import fit_zipf_exponent
@@ -51,47 +50,32 @@ _REPORT_FLOATS = tuple(
 
 
 def _record_values(m: TextMetrics) -> dict:
-    return {
+    """Report values in REPORT_COLUMNS order: the entry's fields, then the
+    TextMetrics attribute of the same name for every other column, floats
+    as text at the printed precision of 6 decimals."""
+    values = {
         "id": m.entry.id,
         "name": m.entry.name,
         "genre": m.entry.genre.value,
         "origin": m.entry.origin.value,
-        "L": m.L,
-        "D": m.D,
-        "d": m.d,
-        "h": m.h,
-        "g": m.g,
-        "j": m.j,
-        "d_rel": m.d_rel,
-        "h_rel": m.h_rel,
-        "W": m.W,
-        "S": m.S,
-        "readability": m.readability,
-        "wqs_verbatim": m.wqs_verbatim,
-        "wqs_reconstructed": m.wqs_reconstructed,
     }
+    values.update((c, getattr(m, c)) for c in REPORT_COLUMNS if c not in values)
+    values.update((c, f"{values[c]:.6f}") for c in _REPORT_FLOATS)
+    return values
 
 
 def write_report(records: list[TextMetrics], fmt: str, stream) -> None:
     """Serialize records as delimited text (csv) or line-delimited records
     (jsonl). Both carry the schema version; both are deterministic."""
+    rows = [_record_values(m) for m in records]
     if fmt == "csv":
         stream.write(f"# schema: {SCHEMA}\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for m in records:
-            values = _record_values(m)
-            writer.writerow(
-                [
-                    f"{values[c]:.6f}" if c in _REPORT_FLOATS else values[c]
-                    for c in REPORT_COLUMNS
-                ]
-            )
+        writer = csv.DictWriter(stream, REPORT_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     elif fmt == "jsonl":
-        for m in records:
-            values = _record_values(m)
-            for c in _REPORT_FLOATS:
-                values[c] = float(f"{values[c]:.6f}")
+        for values in rows:
+            values.update((c, float(values[c])) for c in _REPORT_FLOATS)
             stream.write(json.dumps({"schema": SCHEMA, **values}) + "\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
@@ -247,78 +231,40 @@ def cmd_fit(args) -> int:
 # ----------------------------------------------------------------- tables
 
 
-GROUP_KEYS = {
-    "en-nobel": GroupKey(Language.ENGLISH, True),
-    "en-non": GroupKey(Language.ENGLISH, False),
-    "es-nobel": GroupKey(Language.SPANISH, True),
-    "es-non": GroupKey(Language.SPANISH, False),
-}
-
-
-def _groups(rows):
-    return {label: select_group(rows, key) for label, key in GROUP_KEYS.items()}
-
-
-def _pvalue_pairs(groups, metric):
-    values = {label: [getattr(r, metric) for r in rows] for label, rows in groups.items()}
-    return {
-        "en nobel vs non": (values["en-nobel"], values["en-non"]),
-        "es nobel vs non": (values["es-nobel"], values["es-non"]),
-        "nobel en vs es": (values["en-nobel"], values["es-nobel"]),
-        "non en vs es": (values["en-non"], values["es-non"]),
-    }
-
-
 def cmd_tables(args) -> int:
     try:
         rows = load_bundled_tables(args.reference_dir)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    groups = _groups(rows)
 
-    for metric in ("d_rel", "h_rel", "j"):
-        print(f"== group statistics: {metric} ==")
-        print(f"{'group':10s} {'n':>4s} {'mean':>10s} {'recorded':>10s} {'delta':>9s} "
-              f"{'std':>10s} {'recorded':>10s} {'delta':>9s}")
-        for label, rows_g in groups.items():
-            n_rec, mean_rec, std_rec = targets.RECORDED_GROUP_STATS[metric][label]
-            s = summarize([getattr(r, metric) for r in rows_g])
-            print(f"{label:10s} {s.n:4d} {s.mean:10.5f} {mean_rec:10.5f} {s.mean - mean_rec:+9.5f} "
-                  f"{s.std:10.5f} {std_rec:10.5f} {s.std - std_rec:+9.5f}")
-        print(f"{'t-test':28s} {'p':>10s} {'recorded':>10s}")
-        pairs = _pvalue_pairs(groups, metric)
-        for pair, (a, b) in pairs.items():
-            kind, rec = targets.RECORDED_PVALUES[metric][pair]
-            p = t_test(a, b)
-            rec_text = f"{rec:g}" if kind == "eq" else f"<{rec:g}"
-            print(f"{pair:28s} {p:10.3g} {rec_text:>10s}")
-        print()
-
-    print("== scale and readability statistics ==")
-    print(f"{'group':10s} {'n':>4s} {'wqs':>8s} {'rec':>6s} {'std':>7s} {'rec':>6s} "
-          f"{'read':>8s} {'rec':>7s} {'std':>7s} {'rec':>6s} {'corr':>7s} {'rec':>6s}")
-    scale_groups = dict(groups)
-    scale_groups["en-all"] = groups["en-nobel"] + groups["en-non"]
-    scale_groups["es-all"] = groups["es-nobel"] + groups["es-non"]
-    for label in ("en-all", "en-nobel", "en-non", "es-all", "es-nobel", "es-non"):
-        n_rec, wm, ws, rm, rs, corr_rec = targets.RECORDED_SCALE_STATS[label]
-        rows_g = scale_groups[label]
-        wqs_vals = [r.wqs for r in rows_g]
-        read_vals = [r.readability for r in rows_g]
-        sw, sr = summarize(wqs_vals), summarize(read_vals)
-        corr = pearson(wqs_vals, read_vals)
-        print(f"{label:10s} {sw.n:4d} {sw.mean:8.4f} {wm:6.2f} {sw.std:7.4f} {ws:6.2f} "
-              f"{sr.mean:8.3f} {rm:7.2f} {sr.std:7.3f} {rs:6.2f} {corr:7.4f} {corr_rec:6.2f}")
-    print(f"{'t-test':28s} {'p':>10s} {'recorded':>10s}")
-    for pair, (kind, rec) in targets.RECORDED_SCALE_PVALUES.items():
-        lang = pair.split()[0]
-        metric = "wqs" if "wqs" in pair else "readability"
-        a = [getattr(r, metric) for r in scale_groups[f"{lang}-nobel"]]
-        b = [getattr(r, metric) for r in scale_groups[f"{lang}-non"]]
-        p = t_test(a, b)
-        rec_text = f"{rec:g}" if kind == "eq" else f"<{rec:g}"
-        print(f"{pair:28s} {p:10.3g} {rec_text:>10s}")
+    sections = itertools.groupby(targets.recompute(rows), key=lambda r: (r.metric, r.field == "p"))
+    for (metric, is_p), section in sections:
+        if is_p:
+            print(f"{'t-test':28s} {'p':>10s} {'recorded':>10s}")
+            for r in section:
+                rec_text = f"{r.recorded:g}" if r.kind == "eq" else f"<{r.recorded:g}"
+                print(f"{r.group:28s} {r.got:10.3g} {rec_text:>10s}")
+            if metric != "scale":
+                print()
+            continue
+        lines = [list(cells) for _, cells in itertools.groupby(section, key=lambda r: r.group)]
+        if metric == "scale":
+            print("== scale and readability statistics ==")
+            print(f"{'group':10s} {'n':>4s} {'wqs':>8s} {'rec':>6s} {'std':>7s} {'rec':>6s} "
+                  f"{'read':>8s} {'rec':>7s} {'std':>7s} {'rec':>6s} {'corr':>7s} {'rec':>6s}")
+            for wm, ws, rm, rs, corr in lines:
+                print(f"{wm.group:10s} {wm.n:4d} {wm.got:8.4f} {wm.recorded:6.2f} "
+                      f"{ws.got:7.4f} {ws.recorded:6.2f} {rm.got:8.3f} {rm.recorded:7.2f} "
+                      f"{rs.got:7.3f} {rs.recorded:6.2f} {corr.got:7.4f} {corr.recorded:6.2f}")
+        else:
+            print(f"== group statistics: {metric} ==")
+            print(f"{'group':10s} {'n':>4s} {'mean':>10s} {'recorded':>10s} {'delta':>9s} "
+                  f"{'std':>10s} {'recorded':>10s} {'delta':>9s}")
+            for mean, std in lines:
+                print(f"{mean.group:10s} {mean.n:4d} {mean.got:10.5f} {mean.recorded:10.5f} "
+                      f"{mean.got - mean.recorded:+9.5f} {std.got:10.5f} {std.recorded:10.5f} "
+                      f"{std.got - std.recorded:+9.5f}")
     return 0
 
 
@@ -507,67 +453,29 @@ def cmd_verify(args) -> int:
 
     _verify_digests(checks, directory)
 
-    groups = _groups(rows)
-    sizes = {label: len(g) for label, g in groups.items()}
+    records = targets.recompute(rows)
+    sizes = {r.group: r.n for r in records if r.group in targets.GROUPS}
     _check(checks, sizes == targets.GROUP_SIZES,
            f"group sizes: {sizes} vs recorded {targets.GROUP_SIZES}")
 
-    cell_tol = targets.TOL_GROUP_CELL * tol
-    for metric in ("d_rel", "h_rel", "j"):
-        for label, rows_g in groups.items():
-            _, mean_rec, std_rec = targets.RECORDED_GROUP_STATS[metric][label]
-            s = summarize([getattr(r, metric) for r in rows_g])
-            for field, got, rec in (("mean", s.mean, mean_rec), ("std", s.std, std_rec)):
-                message = (f"{metric} {label} {field}: {got:.5f} vs recorded {rec:.5f} "
-                           f"(delta {got - rec:+.5f})")
-                if (metric, label, field) in targets.DOCUMENTED_DIVERGENCES:
-                    _check(checks, True, message + " [documented divergence]", info=True)
-                else:
-                    _check(checks, abs(got - rec) <= cell_tol, message)
-
-        pairs = _pvalue_pairs(groups, metric)
-        for pair, (a, b) in pairs.items():
-            kind, rec = targets.RECORDED_PVALUES[metric][pair]
-            p = t_test(a, b)
-            if kind == "lt":
-                _check(checks, p < rec, f"{metric} p {pair}: {p:.3g} < recorded bound {rec:g}")
-            else:
-                message = f"{metric} p {pair}: {p:.4g} vs recorded {rec:g}"
-                if (metric, pair) in targets.DIVERGENT_PVALUES:
-                    _check(checks, True, message + " [documented divergence]", info=True)
-                else:
-                    _check(checks, abs(p - rec) <= targets.TOL_PVALUE_REL * tol * rec, message)
-
-    scale_groups = dict(groups)
-    scale_groups["en-all"] = groups["en-nobel"] + groups["en-non"]
-    scale_groups["es-all"] = groups["es-nobel"] + groups["es-non"]
-    scale_tol = targets.TOL_SCALE_CELL * tol
-    for label in ("en-all", "en-nobel", "en-non", "es-all", "es-nobel", "es-non"):
-        n_rec, wm, ws, rm, rs, corr_rec = targets.RECORDED_SCALE_STATS[label]
-        rows_g = scale_groups[label]
-        _check(checks, len(rows_g) == n_rec, f"scale group {label} n: {len(rows_g)} vs {n_rec}")
-        wqs_vals = [r.wqs for r in rows_g]
-        read_vals = [r.readability for r in rows_g]
-        sw, sr = summarize(wqs_vals), summarize(read_vals)
-        corr = pearson(wqs_vals, read_vals)
-        for field, got, rec in (
-            ("wqs mean", sw.mean, wm), ("wqs std", sw.std, ws),
-            ("readability mean", sr.mean, rm), ("readability std", sr.std, rs),
-            ("correlation", corr, corr_rec),
-        ):
-            _check(checks, abs(got - rec) <= scale_tol,
-                   f"{label} {field}: {got:.4f} vs recorded {rec:.2f} (delta {got - rec:+.4f})")
-    for pair, (kind, rec) in targets.RECORDED_SCALE_PVALUES.items():
-        lang = pair.split()[0]
-        metric = "wqs" if "wqs" in pair else "readability"
-        a = [getattr(r, metric) for r in scale_groups[f"{lang}-nobel"]]
-        b = [getattr(r, metric) for r in scale_groups[f"{lang}-non"]]
-        p = t_test(a, b)
-        if kind == "lt":
-            _check(checks, p < rec, f"scale p {pair}: {p:.3g} < recorded bound {rec:g}")
+    for r in records:
+        if r.field == "p" and r.kind == "lt":
+            message = f"{r.metric} p {r.group}: {r.got:.3g} < recorded bound {r.recorded:g}"
+        elif r.field == "p":
+            message = f"{r.metric} p {r.group}: {r.got:.4g} vs recorded {r.recorded:g}"
+        elif r.metric == "scale":
+            if r.field == targets.SCALE_FIELDS[0]:  # the group's size precedes its cells
+                n_rec = targets.RECORDED_SCALE_STATS[r.group][0]
+                _check(checks, r.n == n_rec, f"scale group {r.group} n: {r.n} vs {n_rec}")
+            message = (f"{r.group} {r.field}: {r.got:.4f} vs recorded {r.recorded:.2f} "
+                       f"(delta {r.got - r.recorded:+.4f})")
         else:
-            _check(checks, abs(p - rec) <= targets.TOL_PVALUE_REL * tol * rec,
-                   f"scale p {pair}: {p:.4g} vs recorded {rec:g}")
+            message = (f"{r.metric} {r.group} {r.field}: {r.got:.5f} vs recorded "
+                       f"{r.recorded:.5f} (delta {r.got - r.recorded:+.5f})")
+        if r.documented:
+            _check(checks, True, message + " [documented divergence]", info=True)
+        else:
+            _check(checks, r.holds(tol), message)
 
     preset_path = None
     if args.reference_dir:

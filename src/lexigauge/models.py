@@ -18,7 +18,6 @@ import numpy as np
 
 from ._data import data_path
 from .corpus import Language
-from .tokenizer import PHRASE_TERMINATORS
 from .wqs import WqsCoefficients, load_wqs_presets
 
 
@@ -29,8 +28,8 @@ class LanguageParams:
     heaps_beta: float
     entropy_exponent: float
     c_sy: float
-    phrase_terminators: frozenset[str] = PHRASE_TERMINATORS
     wqs_preset: WqsCoefficients | None = None
+    wqs_reconstructed: WqsCoefficients | None = None
 
     def __post_init__(self):
         if not self.heaps_c > 0:
@@ -165,7 +164,7 @@ def load_language_params(
     presets_path: str | None = None,
 ) -> dict[Language, LanguageParams]:
     """Load the per-language parameter table (bundled by default) and attach
-    each language's verbatim scale preset."""
+    each language's verbatim and reconstructed scale presets."""
     import csv
 
     resolved = path if path is not None else data_path("language_params.csv")
@@ -178,13 +177,14 @@ def load_language_params(
             raise ValueError(f"{resolved}: params file must have columns {','.join(required)}")
         for row in reader:
             language = Language.parse(row["language"])
-            label = f"verbatim-{language.code.lower()}"
+            code = language.code.lower()
             out[language] = LanguageParams(
                 language=language,
                 heaps_c=float(row["heaps_c"]),
                 heaps_beta=float(row["heaps_beta"]),
                 entropy_exponent=float(row["entropy_exponent"]),
                 c_sy=float(row["c_sy"]),
-                wqs_preset=presets.get(label),
+                wqs_preset=presets.get(f"verbatim-{code}"),
+                wqs_reconstructed=presets.get(f"reconstructed-{code}"),
             )
     return out

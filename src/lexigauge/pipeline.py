@@ -20,7 +20,7 @@ from .models import (
 from .profile import build_profile, entropy, specific_diversity
 from .readability import readability_inputs, score
 from .tokenizer import tokenize
-from .wqs import StylePoint, WqsCoefficients, load_wqs_presets, wqs
+from .wqs import StylePoint, wqs
 from .zipf import fit_zipf_exponent, zipf_deviation, zipf_fit_for
 
 
@@ -51,26 +51,19 @@ class AnalysisError(Exception):
         self.cause = cause
 
 
-def _reconstructed_preset(language: Language) -> WqsCoefficients:
-    return load_wqs_presets()[f"reconstructed-{language.code.lower()}"]
-
-
 def analyze_text(
     entry: CorpusEntry,
     params: LanguageParams,
     text: str | None = None,
     zipf_g: float | None = None,
-    reconstructed: WqsCoefficients | None = None,
 ) -> TextMetrics:
     """Full metric record for one text. text, when given, bypasses the file
     load; zipf_g, when given, replaces the fitted exponent. Profiles with
     fewer than 3 ranks carry no usable slope information, so g falls back
     to 0 there (the deviation j is then measured against a flat reference).
     """
-    if params.wqs_preset is None:
-        raise ValueError("params carry no scale preset; load them via load_language_params")
-    if reconstructed is None:
-        reconstructed = _reconstructed_preset(params.language)
+    if params.wqs_preset is None or params.wqs_reconstructed is None:
+        raise ValueError("params carry no scale presets; load them via load_language_params")
     try:
         raw = text if text is not None else load_text(entry)
         t = tokenize(raw, language=params.language)
@@ -102,7 +95,7 @@ def analyze_text(
             S=inputs.S,
             readability=score(inputs, params),
             wqs_verbatim=wqs(params.wqs_preset, point),
-            wqs_reconstructed=wqs(reconstructed, point),
+            wqs_reconstructed=wqs(params.wqs_reconstructed, point),
         )
     except Exception as exc:
         raise AnalysisError(entry.id, exc) from exc
@@ -114,7 +107,6 @@ def analyze_corpus(
 ) -> tuple[list[TextMetrics], list[AnalysisError]]:
     """Analyze every manifest entry. Returns records in manifest order plus
     the failures that were skipped."""
-    presets = load_wqs_presets()
     records: list[TextMetrics] = []
     errors: list[AnalysisError] = []
     for entry in manifest:
@@ -123,13 +115,7 @@ def analyze_corpus(
             errors.append(AnalysisError(entry.id, ValueError(f"no parameters for {entry.language.value}")))
             continue
         try:
-            records.append(
-                analyze_text(
-                    entry,
-                    lang_params,
-                    reconstructed=presets[f"reconstructed-{entry.language.code.lower()}"],
-                )
-            )
+            records.append(analyze_text(entry, lang_params))
         except AnalysisError as exc:
             errors.append(exc)
     return records, errors

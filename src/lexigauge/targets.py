@@ -2,8 +2,9 @@
 
 The bundled metric tables ship with the summary statistics their original
 analysis reported: per-group means and standard deviations, t-test p-values,
-and correlation coefficients. The verify command recomputes every one of
-these from the raw table rows and prints the deltas.
+and correlation coefficients. recompute() derives every one of these from
+the raw table rows, once; the tables and verify commands and the acceptance
+tests all read its records.
 
 A minority of the recorded cells cannot be reproduced from the bundled rows
 themselves; the recorded analysis evidently summarized a slightly different
@@ -16,6 +17,11 @@ Group labels: en/es prefix for language; nobel/non for the laureate split;
 all for the union of both splits.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .corpus import GroupKey, Language, ReferenceRow, select_group
+from .stats import pearson, summarize, t_test
 
 # (n, mean, std) per group for the three style coordinates.
 RECORDED_GROUP_STATS = {
@@ -132,3 +138,97 @@ GROUP_SIZES = {"en-nobel": 37, "en-non": 101, "es-nobel": 19, "es-non": 117}
 TOL_GROUP_CELL = 0.005      # absolute, mean/std of the style coordinates
 TOL_SCALE_CELL = 0.02       # absolute, wqs/readability means, stds, correlations
 TOL_PVALUE_REL = 0.20       # relative band on recomputed p-values
+
+
+# The four author groups, in the order every report lists them.
+GROUPS = {
+    "en-nobel": GroupKey(Language.ENGLISH, True),
+    "en-non": GroupKey(Language.ENGLISH, False),
+    "es-nobel": GroupKey(Language.SPANISH, True),
+    "es-non": GroupKey(Language.SPANISH, False),
+}
+
+# The two groups each coordinate t-test compares.
+PAIRS = {
+    "en nobel vs non": ("en-nobel", "en-non"),
+    "es nobel vs non": ("es-nobel", "es-non"),
+    "nobel en vs es": ("en-nobel", "es-nobel"),
+    "non en vs es": ("en-non", "es-non"),
+}
+
+# The statistics of a RECORDED_SCALE_STATS tuple after its n.
+SCALE_FIELDS = ("wqs mean", "wqs std", "readability mean", "readability std", "correlation")
+
+
+@dataclass(frozen=True)
+class Recomputed:
+    """One recorded statistic next to its value recomputed from the rows.
+
+    metric is a style coordinate (d_rel, h_rel, j), or "scale" for the
+    scale and readability statistics. group is a group label, or a pair
+    label when field is "p". n counts the rows behind the value. kind is
+    "eq" for a recorded value and "lt" for a recorded upper bound.
+    tolerance is the band at --tolerance 1: absolute, except for p-values,
+    where it is relative to the recorded value."""
+    metric: str
+    group: str
+    field: str
+    n: int
+    got: float
+    recorded: float
+    kind: str
+    tolerance: float
+    documented: bool = False
+
+    def holds(self, scale: float = 1.0) -> bool:
+        """Whether the recomputed value reproduces the recorded one within
+        the tolerance band times scale (0 demands exact equality)."""
+        if self.kind == "lt":
+            return self.got < self.recorded
+        band = self.tolerance * scale
+        if self.field == "p":
+            band *= self.recorded
+        return abs(self.got - self.recorded) <= band
+
+
+def split_groups(rows: list[ReferenceRow]) -> dict[str, list[ReferenceRow]]:
+    """The four groups of GROUPS, then the en-all and es-all unions."""
+    groups = {label: select_group(rows, key) for label, key in GROUPS.items()}
+    for lang in ("en", "es"):
+        groups[f"{lang}-all"] = groups[f"{lang}-nobel"] + groups[f"{lang}-non"]
+    return groups
+
+
+def recompute(rows: list[ReferenceRow]) -> list[Recomputed]:
+    """Every recorded statistic, recomputed from rows, in report order: per
+    coordinate the group means and stds then its t-tests, then the scale
+    and readability statistics per group, then their t-tests."""
+    groups = split_groups(rows)
+
+    def values(label: str, metric: str) -> list[float]:
+        return [getattr(r, metric) for r in groups[label]]
+
+    out: list[Recomputed] = []
+    for metric, recorded in RECORDED_GROUP_STATS.items():
+        for label in GROUPS:
+            _, mean_rec, std_rec = recorded[label]
+            s = summarize(values(label, metric))
+            for field, got, rec in (("mean", s.mean, mean_rec), ("std", s.std, std_rec)):
+                out.append(Recomputed(metric, label, field, s.n, got, rec, "eq", TOL_GROUP_CELL,
+                                      (metric, label, field) in DOCUMENTED_DIVERGENCES))
+        for pair, (kind, rec) in RECORDED_PVALUES[metric].items():
+            a, b = (values(label, metric) for label in PAIRS[pair])
+            out.append(Recomputed(metric, pair, "p", len(a) + len(b), t_test(a, b), rec, kind,
+                                  TOL_PVALUE_REL, (metric, pair) in DIVERGENT_PVALUES))
+    for label, (_, *recorded) in RECORDED_SCALE_STATS.items():
+        wqs_vals, read_vals = values(label, "wqs"), values(label, "readability")
+        sw, sr = summarize(wqs_vals), summarize(read_vals)
+        got = (sw.mean, sw.std, sr.mean, sr.std, pearson(wqs_vals, read_vals))
+        for field, g, rec in zip(SCALE_FIELDS, got, recorded):
+            out.append(Recomputed("scale", label, field, sw.n, g, rec, "eq", TOL_SCALE_CELL))
+    for pair, (kind, rec) in RECORDED_SCALE_PVALUES.items():
+        lang, metric = pair.split()[:2]  # "<lang> <metric> nobel vs non"
+        a, b = values(f"{lang}-nobel", metric), values(f"{lang}-non", metric)
+        out.append(Recomputed("scale", pair, "p", len(a) + len(b), t_test(a, b), rec, kind,
+                              TOL_PVALUE_REL))
+    return out

@@ -7,7 +7,7 @@ test here means a shipped guarantee does not hold."""
 import random
 
 from lexigauge.cli import main as cli_main
-from lexigauge.corpus import GroupKey, Language, load_bundled_tables, select_group
+from lexigauge.corpus import Language, load_bundled_tables
 from lexigauge.models import (
     entropy_model_predict,
     fit_entropy_model,
@@ -17,28 +17,25 @@ from lexigauge.models import (
 )
 from lexigauge.profile import RankedProfile, entropy
 from lexigauge.readability import ReadabilityInputs, ipsz, res
-from lexigauge.stats import linear_regression, summarize, t_test, pearson
+from lexigauge.stats import linear_regression, t_test
 from lexigauge.targets import (
     DOCUMENTED_DIVERGENCES,
+    GROUPS,
     RECORDED_DIRECTIONS,
     RECORDED_GROUP_STATS,
     RECORDED_SCALE_STATS,
     TOL_GROUP_CELL,
+    recompute,
+    split_groups,
 )
 from lexigauge.wqs import StylePoint, load_wqs_presets, wqs
 from lexigauge.zipf import fit_zipf_exponent, zipf_deviation, zipf_fit_for, zipf_reference
 
-GROUP_KEYS = {
-    "en-nobel": GroupKey(Language.ENGLISH, True),
-    "en-non": GroupKey(Language.ENGLISH, False),
-    "es-nobel": GroupKey(Language.SPANISH, True),
-    "es-non": GroupKey(Language.SPANISH, False),
-}
-
-
-def _groups():
-    rows = load_bundled_tables()
-    return {label: select_group(rows, key) for label, key in GROUP_KEYS.items()}
+def _recomputed(metric):
+    """The recomputed statistics of one metric ("scale" for the scale and
+    readability table), keyed by (group or pair, field)."""
+    return {(r.group, r.field): r for r in recompute(load_bundled_tables())
+            if r.metric == metric}
 
 
 def test_criterion_01_entropy_properties():
@@ -104,7 +101,8 @@ def test_criterion_04_fitter_recovery():
 
 
 def test_criterion_05_group_sizes():
-    sizes = {label: len(rows) for label, rows in _groups().items()}
+    groups = split_groups(load_bundled_tables())
+    sizes = {label: len(groups[label]) for label in GROUPS}
     assert sizes == {"en-nobel": 37, "en-non": 101, "es-nobel": 19, "es-non": 117}
     print(f"criterion 5: group sizes {sizes}")
 
@@ -112,31 +110,31 @@ def test_criterion_05_group_sizes():
 def test_criterion_06_group_means_and_stds():
     # The contract verify reports against: every recorded cell reproduces within
     # TOL_GROUP_CELL except the documented divergences, which must still diverge.
-    groups = _groups()
+    records = [r for r in recompute(load_bundled_tables())
+               if r.metric in RECORDED_GROUP_STATS and r.field in ("mean", "std")]
+    assert len(records) == 24
     cells = set()
     undocumented, reproducing = [], []
-    for metric in ("d_rel", "h_rel", "j"):
-        for label, rows_g in groups.items():
-            _, mean_rec, std_rec = RECORDED_GROUP_STATS[metric][label]
-            s = summarize([getattr(r, metric) for r in rows_g])
-            for field, got, rec in (("mean", s.mean, mean_rec), ("std", s.std, std_rec)):
-                cell = (metric, label, field)
-                cells.add(cell)
-                within = abs(got - rec) <= TOL_GROUP_CELL
-                documented = cell in DOCUMENTED_DIVERGENCES
-                line = (f"criterion 6: {metric:5s} {label:9s} {field:4s} "
-                        f"computed {got:9.5f} recorded {rec:9.5f} delta {got - rec:+.5f}")
-                detail = f"{metric}/{label}/{field} (computed {got:.5f}, recorded {rec:.5f})"
-                if documented and within:
-                    print(line + "  DOCUMENTED DIVERGENCE NOW REPRODUCES")
-                    reproducing.append(detail)
-                elif documented:
-                    print(line + "  documented divergence")
-                elif not within:
-                    print(line + "  UNDOCUMENTED DIVERGENCE")
-                    undocumented.append(detail)
-                else:
-                    print(line)
+    for r in records:
+        metric, label, field, got, rec = r.metric, r.group, r.field, r.got, r.recorded
+        cell = (metric, label, field)
+        cells.add(cell)
+        within = abs(got - rec) <= TOL_GROUP_CELL
+        documented = cell in DOCUMENTED_DIVERGENCES
+        assert r.documented == documented, cell
+        line = (f"criterion 6: {metric:5s} {label:9s} {field:4s} "
+                f"computed {got:9.5f} recorded {rec:9.5f} delta {got - rec:+.5f}")
+        detail = f"{metric}/{label}/{field} (computed {got:.5f}, recorded {rec:.5f})"
+        if documented and within:
+            print(line + "  DOCUMENTED DIVERGENCE NOW REPRODUCES")
+            reproducing.append(detail)
+        elif documented:
+            print(line + "  documented divergence")
+        elif not within:
+            print(line + "  UNDOCUMENTED DIVERGENCE")
+            undocumented.append(detail)
+        else:
+            print(line)
     unknown = sorted("/".join(key) for key in DOCUMENTED_DIVERGENCES - cells)
     problems = []
     if unknown:
@@ -158,26 +156,23 @@ def test_criterion_06_group_means_and_stds():
 
 
 def test_criterion_07_scale_and_readability_stats():
-    groups = _groups()
-    groups["en-all"] = groups["en-nobel"] + groups["en-non"]
-    groups["es-all"] = groups["es-nobel"] + groups["es-non"]
+    scale = _recomputed("scale")
     for label in ("en-all", "en-nobel", "en-non", "es-all", "es-nobel", "es-non"):
         _, wm, _, rm, _, _ = RECORDED_SCALE_STATS[label]
-        wqs_mean = summarize([r.wqs for r in groups[label]]).mean
-        read_mean = summarize([r.readability for r in groups[label]]).mean
+        wqs_mean = scale[label, "wqs mean"].got
+        read_mean = scale[label, "readability mean"].got
         assert abs(wqs_mean - wm) <= 0.02, (label, wqs_mean, wm)
         assert abs(read_mean - rm) <= 0.02, (label, read_mean, rm)
-    en_all = groups["en-all"]
-    assert len(en_all) == 138
-    corr = pearson([r.wqs for r in en_all], [r.readability for r in en_all])
+    en_all = scale["en-all", "correlation"]
+    assert en_all.n == 138
+    corr = en_all.got
     assert abs(corr - (-0.34)) <= 0.02
     print(f"criterion 7: all 12 scale/readability group means within 0.02; "
           f"english quality-vs-readability correlation {corr:.4f}")
 
 
 def test_criterion_08_t_test_plumbing():
-    groups = _groups()
-    p = t_test([r.d_rel for r in groups["en-nobel"]], [r.d_rel for r in groups["en-non"]])
+    p = _recomputed("d_rel")["en nobel vs non", "p"].got
     assert abs(p - 0.00186) / 0.00186 <= 0.20
     same = [0.3, 0.4, 0.5, 0.6]
     assert t_test(same, list(same)) == 1.0

@@ -14,13 +14,8 @@ from lexigauge.corpus import (
     save_manifest,
     select_group,
 )
+from lexigauge.targets import GROUPS, split_groups
 
-GROUP_KEYS = {
-    "en-nobel": GroupKey(Language.ENGLISH, True),
-    "en-non": GroupKey(Language.ENGLISH, False),
-    "es-nobel": GroupKey(Language.SPANISH, True),
-    "es-non": GroupKey(Language.SPANISH, False),
-}
 
 
 @pytest.fixture(scope="module")
@@ -128,18 +123,26 @@ def test_reference_row_sn14(rows):
 
 
 def test_select_group_sizes(rows):
-    sizes = {label: len(select_group(rows, key)) for label, key in GROUP_KEYS.items()}
+    sizes = {label: len(select_group(rows, key)) for label, key in GROUPS.items()}
     assert sizes == {"en-nobel": 37, "en-non": 101, "es-nobel": 19, "es-non": 117}
 
 
 def test_select_groups_disjoint(rows):
-    selected = [select_group(rows, key) for key in GROUP_KEYS.values()]
+    selected = [select_group(rows, key) for key in GROUPS.values()]
     ids = [r.entry.id for group in selected for r in group]
     assert len(ids) == len(set(ids))
 
 
+def test_split_groups_adds_language_unions(rows):
+    groups = split_groups(rows)
+    assert list(groups) == [*GROUPS, "en-all", "es-all"]
+    for lang in ("en", "es"):
+        assert groups[f"{lang}-all"] == groups[f"{lang}-nobel"] + groups[f"{lang}-non"]
+    assert (len(groups["en-all"]), len(groups["es-all"])) == (138, 136)
+
+
 def test_select_group_rules(rows):
-    for key in GROUP_KEYS.values():
+    for key in GROUPS.values():
         for r in select_group(rows, key):
             assert r.entry.genre is Genre.SPEECH
             if key.nobel:
