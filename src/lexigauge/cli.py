@@ -132,10 +132,15 @@ def cmd_analyze(args) -> int:
 
 
 def _manifest_profiles(manifest_path: str):
-    """(entry, tokenized, profile) triples for every loadable manifest text."""
+    """(entry, tokenized, profile) triples for every loadable manifest text.
+    A text that cannot be loaded is reported on stderr and skipped."""
     out = []
     for entry in load_manifest(manifest_path):
-        text = load_text(entry)
+        try:
+            text = load_text(entry)
+        except (OSError, ValueError) as exc:
+            print(f"error: {entry.id}: {exc}", file=sys.stderr)
+            continue
         t = tokenize(text, language=entry.language)
         out.append((entry, t, build_profile(t)))
     return out

@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import dropwhile
 from pathlib import Path
 
 from ._data import data_path
@@ -108,12 +109,13 @@ MANIFEST_COLUMNS = ("id", "name", "genre", "origin", "language", "nobel", "year"
 
 
 def load_manifest(path: str | Path) -> list[CorpusEntry]:
-    """Read a corpus manifest. Missing year falls back to a leading 'YYYY.'
-    prefix of the name; empty source_path means no text on disk."""
+    """Read a corpus manifest; `#` lines before the header are comments.
+    Missing year falls back to a leading 'YYYY.' prefix of the name; empty
+    source_path means no text on disk."""
     entries: list[CorpusEntry] = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
+        reader = csv.DictReader(dropwhile(lambda line: line.startswith("#"), fh))
         if reader.fieldnames is None:
             return entries
         missing = [c for c in MANIFEST_COLUMNS[:6] if c not in reader.fieldnames]
@@ -261,10 +263,11 @@ _REPORT_STR = frozenset(("id", "name", "genre", "origin"))
 
 def load_report(path: str | Path) -> list[dict]:
     """Parse an analysis report written by the command-line tool back into
-    typed records (ints for counts, floats for metrics)."""
+    typed records (ints for counts, floats for metrics). `#` lines before the
+    header are comments."""
     records: list[dict] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
+        reader = csv.DictReader(dropwhile(lambda line: line.startswith("#"), fh))
         if reader.fieldnames is None:
             return records
         missing = [c for c in REPORT_COLUMNS if c not in reader.fieldnames]

@@ -2,8 +2,8 @@
 
 analyze_text produces one TextMetrics record per text, mirroring a row of
 the bundled metric tables plus the intermediate counts. analyze_corpus maps
-it over a manifest, quarantining per-text failures so one bad file cannot
-abort a batch run.
+it over a manifest, quarantining per-text data failures so one bad file
+cannot abort a batch run; other exceptions are bugs and propagate.
 """
 from __future__ import annotations
 
@@ -97,7 +97,7 @@ def analyze_text(
             wqs_verbatim=wqs(params.wqs_preset, point),
             wqs_reconstructed=wqs(params.wqs_reconstructed, point),
         )
-    except Exception as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         raise AnalysisError(entry.id, exc) from exc
 
 

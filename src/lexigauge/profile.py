@@ -6,8 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .tokenizer import TokenizedText
 
@@ -21,23 +20,23 @@ class RankedProfile:
     well, so model-matching reference profiles can be expressed exactly.
     """
     entries: tuple[tuple[str, float], ...]
+    L: float = field(init=False)
 
     def __post_init__(self):
         prev = math.inf
+        total = 0
         for symbol, f in self.entries:
             if not f > 0:
                 raise ValueError(f"frequency of {symbol!r} must be positive, got {f}")
             if f > prev:
                 raise ValueError("frequencies must be non-increasing by rank")
             prev = f
+            total += f
+        object.__setattr__(self, "L", total)
 
     @property
     def D(self) -> int:
         return len(self.entries)
-
-    @property
-    def L(self) -> float:
-        return sum(f for _, f in self.entries)
 
     def frequency(self, rank: int) -> float:
         """f_r for 1-based rank r."""
@@ -55,9 +54,7 @@ class RankedProfile:
 def build_profile(t: TokenizedText) -> RankedProfile:
     """Count each distinct symbol and rank by descending frequency. Ties are
     broken by ascending symbol code-point order so output is deterministic."""
-    counts = Counter(s.text for s in t.symbols)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return RankedProfile(tuple((sym, c) for sym, c in ranked))
+    return RankedProfile(tuple(sorted(t.counts.items(), key=lambda kv: (-kv[1], kv[0]))))
 
 
 def specific_diversity(p: RankedProfile) -> float:

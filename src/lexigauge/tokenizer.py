@@ -8,7 +8,9 @@ diversity, entropy, and readability computations downstream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 
 # Marks counted as symbols in their own right. Everything else that is not a
@@ -26,6 +28,11 @@ _NORMALIZE = {
     "“": '"', "”": '"',
 }
 
+# One symbol: a run of word characters ([^\W_] is exactly str.isalnum) with
+# apostrophes allowed between two word characters, or one punctuation mark.
+_SYMBOL = re.compile(r"[^\W_]+(?:'[^\W_]+)*|["
+                     + "".join(re.escape(ch) for ch in sorted(PUNCTUATION)) + "]")
+
 
 class TokenKind(Enum):
     WORD = "word"
@@ -40,25 +47,33 @@ class SymbolToken:
 
 @dataclass(frozen=True)
 class TokenizedText:
-    """Symbol sequence plus the counts derived from it.
+    """Symbol counts of a text.
 
-    L is the total symbol count, L_w the word count, L_ph the raw count of
-    phrase-terminator tokens (no floor applied; see count_phrases), and L_CH
-    the number of characters inside word tokens.
+    counts maps each symbol to its number of occurrences, in order of first
+    appearance. L is the total symbol count, L_w the word count, L_ph the raw
+    count of phrase-terminator tokens (no floor applied; see count_phrases),
+    and L_CH the number of characters inside word tokens. normalized is the
+    text the symbols were read from.
     """
-    symbols: tuple[SymbolToken, ...]
+    counts: dict[str, int]
     L: int
     L_w: int
     L_ph: int
     L_CH: int
+    normalized: str = field(default="", repr=False, compare=False)
 
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum()
+    @property
+    def symbols(self) -> tuple[SymbolToken, ...]:
+        """The symbol sequence, scanned again from the normalized text."""
+        return tuple(
+            SymbolToken(m, TokenKind.PUNCTUATION) if m in PUNCTUATION
+            else SymbolToken(m.lower(), TokenKind.WORD)
+            for m in _SYMBOL.findall(self.normalized)
+        )
 
 
 def tokenize(raw: str, language=None) -> TokenizedText:
-    """Convert raw text to the symbol stream.
+    """Convert raw text to symbol counts.
 
     Words are case-folded to lower case. Apostrophes between two word
     characters stay inside the word ("don't"); any other apostrophe is a
@@ -72,35 +87,15 @@ def tokenize(raw: str, language=None) -> TokenizedText:
         text = text.replace(src, dst)
     text = text.replace("...", "…")
 
-    symbols: list[SymbolToken] = []
-    word: list[str] = []
-
-    def flush() -> None:
-        if word:
-            symbols.append(SymbolToken("".join(word).lower(), TokenKind.WORD))
-            word.clear()
-
-    n = len(text)
-    for i, ch in enumerate(text):
-        if _is_word_char(ch):
-            word.append(ch)
-        elif ch == "'" and word and i + 1 < n and _is_word_char(text[i + 1]):
-            # internal apostrophe: preceded and followed by word characters
-            word.append(ch)
-        elif ch in PUNCTUATION:
-            flush()
-            symbols.append(SymbolToken(ch, TokenKind.PUNCTUATION))
-        else:
-            flush()
-
-    flush()
-
-    L_w = sum(1 for s in symbols if s.kind is TokenKind.WORD)
-    L_ph = sum(1 for s in symbols
-               if s.kind is TokenKind.PUNCTUATION and s.text in PHRASE_TERMINATORS)
-    L_CH = sum(len(s.text) for s in symbols if s.kind is TokenKind.WORD)
-    return TokenizedText(symbols=tuple(symbols), L=len(symbols),
-                         L_w=L_w, L_ph=L_ph, L_CH=L_CH)
+    # Case is folded per token: folding the whole text first would split
+    # words at non-alphanumeric lower cases ("İ" folds to "i" + U+0307).
+    counts = Counter(map(str.lower, _SYMBOL.findall(text)))
+    L = sum(counts.values())
+    return TokenizedText(
+        counts=counts, L=L, L_w=L - sum(counts[m] for m in PUNCTUATION),
+        L_ph=sum(counts[m] for m in PHRASE_TERMINATORS),
+        L_CH=sum(len(s) * c for s, c in counts.items() if s not in PUNCTUATION),
+        normalized=text)
 
 
 def count_phrases(t: TokenizedText) -> int:

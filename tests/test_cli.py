@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from lexigauge._data import data_dir
-from lexigauge.cli import main
-from lexigauge.corpus import load_report
+from lexigauge.cli import main, write_report
+from lexigauge.corpus import CorpusEntry, Genre, Language, Origin, load_report
+from lexigauge.models import load_language_params
+from lexigauge.pipeline import analyze_text
 
 
 @pytest.fixture()
@@ -107,6 +109,20 @@ def test_analyze_preset_switch(sample_texts, tmp_path):
     assert r2["wqs_verbatim"] == r2["wqs_reconstructed"]
 
 
+def test_report_keeps_rows_whose_id_starts_with_hash(tmp_path):
+    params = load_language_params()[Language.ENGLISH]
+    records = [
+        analyze_text(CorpusEntry(id=rid, name=rid, genre=Genre.SPEECH, language=Language.ENGLISH,
+                                 origin=Origin.ORIGINAL, nobel=False),
+                     params, text="one two two three three three.")
+        for rid in ("E1", "#7")
+    ]
+    out = tmp_path / "report.csv"
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        write_report(records, "csv", fh)
+    assert [r["id"] for r in load_report(out)] == ["E1", "#7"]
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["analyze", "x.txt", "--lang", "fr"])
@@ -168,6 +184,23 @@ def test_fit_single_text_manifest(tmp_path):
     manifest = tmp_path / "m.csv"
     _write_manifest(manifest, [["T0", "only", "S", "O", "EN", "false", "", str(p)]])
     assert main(["fit", "--manifest", str(manifest), "--model", "heaps"]) == 1
+
+
+def test_fit_skips_unloadable_texts(synthetic_growth_corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"caf\xe9 au lait")
+    with open(synthetic_growth_corpus, "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([
+            ["T8", "missing", "S", "O", "EN", "false", "", str(tmp_path / "missing.txt")],
+            ["T9", "undecodable", "S", "O", "EN", "false", "", str(bad)],
+        ])
+    assert main(["fit", "--manifest", str(synthetic_growth_corpus), "--model", "heaps"]) == 0
+    captured = capsys.readouterr()
+    assert "n=5" in captured.out
+    errors = captured.err.splitlines()
+    assert len(errors) == 2
+    assert errors[0].startswith("error: T8: ") and "not found" in errors[0]
+    assert errors[1].startswith("error: T9: ") and "utf-8" in errors[1]
 
 
 def test_fit_entropy_and_zipf_models(synthetic_growth_corpus, capsys):

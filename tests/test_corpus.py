@@ -65,6 +65,18 @@ def test_manifest_year_from_name_prefix(tmp_path):
     assert entries[1].year is None
 
 
+def test_manifest_keeps_rows_whose_id_starts_with_hash(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "# a leading comment\n"
+        "id,name,genre,origin,language,nobel,year,source_path\n"
+        "E1,first,S,O,EN,false,,\n"
+        "#7,seventh,S,O,EN,false,,\n",
+        encoding="utf-8",
+    )
+    assert [e.id for e in load_manifest(path)] == ["E1", "#7"]
+
+
 def test_manifest_header_only(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("id,name,genre,origin,language,nobel,year,source_path\n", encoding="utf-8")

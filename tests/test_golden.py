@@ -6,7 +6,10 @@ The digests of `verify`, `tables`, `plot-data --figure wqs-plane` and
 the statistics or the report code must leave every one of them unchanged."""
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,30 @@ def test_analyze_jsonl_report(capsys):
     code, out = _run(capsys, f"analyze {GETTYSBURG} --lang en --format jsonl")
     assert code == 0
     assert _sha256(out) == "221ff6042cceb7a551b48e9c7394fb3a9ab768c850bf652da2e003d031aa0a7a", out
+
+
+SPANISH = ("¿Qué pasó en İstanbul? ¡Nada! La calle Straße tiene un niño... y otro niño; "
+           "el año pasado, la señora dijo: «sí, claro» — ¿o no…?\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("lang", ["en", "es"])
+def test_analyze_is_independent_of_the_hash_seed(tmp_path, fmt, lang):
+    # Symbol counts live in dicts and sets; none of their ordering may leak
+    # into a report.
+    spanish = tmp_path / "spanish.txt"
+    spanish.write_text(SPANISH, encoding="utf-8")
+    env = dict(os.environ)
+    src = str(REPO / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    outputs = []
+    for seed in ("0", "4242"):
+        env["PYTHONHASHSEED"] = seed
+        result = subprocess.run(
+            [sys.executable, "-m", "lexigauge.cli", "analyze", str(REPO / GETTYSBURG),
+             str(spanish), "--lang", lang, "--format", fmt],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"gettysburg_address" in outputs[0] and b"spanish" in outputs[0]

@@ -1,5 +1,6 @@
 import pytest
 
+from lexigauge import pipeline
 from lexigauge._data import data_path
 from lexigauge.corpus import CorpusEntry, Genre, Language, Origin
 from lexigauge.models import load_language_params
@@ -83,6 +84,22 @@ def test_error_wrapping(en_params):
         analyze_text(entry(id="BAD", source_path="/nope/missing.txt"), en_params)
     assert info.value.entry_id == "BAD"
     assert isinstance(info.value.cause, FileNotFoundError)
+
+
+def test_data_failures_are_wrapped_and_bugs_propagate(en_params, tmp_path, monkeypatch):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"caf\xe9 au lait")
+    for path, cause in ((tmp_path / "missing.txt", FileNotFoundError), (bad, UnicodeDecodeError)):
+        with pytest.raises(AnalysisError) as info:
+            analyze_text(entry(source_path=str(path)), en_params)
+        assert isinstance(info.value.cause, cause)
+
+    def broken(raw, language=None):
+        raise TypeError("a bug, not bad data")
+
+    monkeypatch.setattr(pipeline, "tokenize", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        analyze_text(entry(), en_params, text="perfectly good text.")
 
 
 def test_empty_text_fails(en_params):

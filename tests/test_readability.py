@@ -25,8 +25,8 @@ def es_params():
 
 
 def synthetic_counts(L_CH, L_w, L_ph):
-    # direct construction; the symbol tuple is irrelevant to the rate math
-    return TokenizedText(symbols=(), L=L_w + L_ph, L_w=L_w, L_ph=L_ph, L_CH=L_CH)
+    # direct construction; the symbol counts are irrelevant to the rate math
+    return TokenizedText(counts={}, L=L_w + L_ph, L_w=L_w, L_ph=L_ph, L_CH=L_CH)
 
 
 def test_rate_inputs_hand_case(en_params):

@@ -1,6 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from loop_tokenizer import loop_tokenize
+
+from lexigauge.profile import build_profile
 from lexigauge.tokenizer import (
     PHRASE_TERMINATORS,
     PUNCTUATION,
@@ -128,3 +132,24 @@ def test_concatenation_is_additive(a, b):
     merged = tokenize(a + " " + b)
     assert texts(merged) == texts(tokenize(a)) + texts(tokenize(b))
     assert merged.L == tokenize(a).L + tokenize(b).L
+
+
+# Characters where a regex scan and a character loop could part ways: quote
+# and apostrophe variants, the underscore (a regex word character but not
+# alphanumeric), letters whose lower case changes length or class (ß, İ, ı,
+# ǅ), combining marks, non-ASCII digits and numerals, and whitespace.
+UNICODE_DRAWS = sorted(PUNCTUATION) + list("'’‘“”\"…_ßİıaZ7\u0301\u0307²½٣ǅ \t\n") + ["..."]
+unicode_texts = st.lists(st.sampled_from(UNICODE_DRAWS), max_size=80).map("".join)
+
+
+@settings(max_examples=500)
+@given(unicode_texts)
+def test_matches_the_character_loop(s):
+    t = tokenize(s)
+    oracle = loop_tokenize(s)
+    oracle_counts = Counter(x.text for x in oracle.symbols)
+    assert t.symbols == oracle.symbols
+    assert (t.L, t.L_w, t.L_ph, t.L_CH) == (oracle.L, oracle.L_w, oracle.L_ph, oracle.L_CH)
+    assert t.counts == oracle_counts
+    assert build_profile(t).entries == tuple(
+        sorted(oracle_counts.items(), key=lambda kv: (-kv[1], kv[0])))
