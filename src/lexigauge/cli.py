@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import targets
@@ -36,7 +37,7 @@ from .corpus import (
 )
 from .models import fit_entropy_model, fit_heaps, load_language_params
 from .pipeline import AnalysisError, TextMetrics, analyze_text
-from .profile import build_profile
+from .profile import build_profile, entropy, specific_diversity
 from .stats import linear_regression
 from .tokenizer import tokenize
 from .wqs import load_wqs_presets, wqs, StylePoint
@@ -103,7 +104,7 @@ def cmd_analyze(args) -> int:
             return 2
         params = dataclasses.replace(params, wqs_preset=presets[args.preset])
     records: list[TextMetrics] = []
-    failed = 0
+    failed: Counter[str] = Counter()
     for i, path in enumerate(args.paths, start=1):
         entry = CorpusEntry(
             id=f"T{i}",
@@ -117,7 +118,7 @@ def cmd_analyze(args) -> int:
         try:
             records.append(analyze_text(entry, params, zipf_g=args.zipf_g))
         except AnalysisError as exc:
-            failed += 1
+            failed[type(exc.cause).__name__] += 1
             print(f"error: {exc.cause}", file=sys.stderr)
     stream, close = _open_out(args.out)
     try:
@@ -125,6 +126,9 @@ def cmd_analyze(args) -> int:
     finally:
         if close:
             stream.close()
+    causes = ", ".join(f"{n} {cause}" for cause, n in sorted(failed.items()))
+    print(f"analyzed {len(records)}, failed {failed.total()}" + (f" ({causes})" if failed else ""),
+          file=sys.stderr)
     return 1 if failed and not records else 0
 
 
@@ -171,14 +175,13 @@ def cmd_fit(args) -> int:
                 f"{language.value}: c={c:.6g} beta={beta:.6g} sse={sse:.6g} n={len(points)}"
             )
     elif args.model == "entropy":
-        from .profile import entropy, specific_diversity
-
         for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
-            points = [
-                (specific_diversity(p), entropy(p))
-                for _, _, p in group
-                if 0 < specific_diversity(p) < 1 and entropy(p) > 0
-            ]
+            points = []
+            for entry, _, p in group:
+                if p.D == 0:
+                    lines.append(f"{entry.id}: no symbols to fit")
+                elif 0 < specific_diversity(p) < 1 and entropy(p) > 0:
+                    points.append((specific_diversity(p), entropy(p)))
             if len(points) < 2:
                 lines.append(f"{language.value}: insufficient data ({len(points)} usable texts)")
                 continue

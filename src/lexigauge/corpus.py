@@ -115,33 +115,35 @@ def load_manifest(path: str | Path) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(dropwhile(lambda line: line.startswith("#"), fh))
-        if reader.fieldnames is None:
-            return entries
-        missing = [c for c in MANIFEST_COLUMNS[:6] if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: manifest missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            try:
-                genre = Genre(row["genre"].strip())
-                origin = Origin(row["origin"].strip())
-                language = Language.parse(row["language"])
-                nobel = _parse_bool(row["nobel"], where)
-                year_text = (row.get("year") or "").strip()
-                year = int(year_text) if year_text else _parse_year(row["name"])
-                source = (row.get("source_path") or "").strip() or None
-                entry = CorpusEntry(
-                    id=row["id"].strip(), name=row["name"].strip(), genre=genre,
-                    language=language, origin=origin, nobel=nobel,
-                    year=year, source_path=source,
-                )
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{where}: malformed manifest row: {exc}") from exc
-            if entry.id in seen:
-                raise ValueError(f"{where}: duplicate id {entry.id!r}")
-            seen.add(entry.id)
-            entries.append(entry)
+        lines = fh.readlines()
+    comments = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    reader = csv.DictReader(lines[comments:])
+    if reader.fieldnames is None:
+        return entries
+    missing = [c for c in MANIFEST_COLUMNS[:6] if c not in reader.fieldnames]
+    if missing:
+        raise ValueError(f"{path}: manifest missing columns {missing}")
+    for row in reader:
+        where = f"{path}:{comments + reader.line_num}"
+        try:
+            genre = Genre(row["genre"].strip())
+            origin = Origin(row["origin"].strip())
+            language = Language.parse(row["language"])
+            nobel = _parse_bool(row["nobel"], where)
+            year_text = (row.get("year") or "").strip()
+            year = int(year_text) if year_text else _parse_year(row["name"])
+            source = (row.get("source_path") or "").strip() or None
+            entry = CorpusEntry(
+                id=row["id"].strip(), name=row["name"].strip(), genre=genre,
+                language=language, origin=origin, nobel=nobel,
+                year=year, source_path=source,
+            )
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{where}: malformed manifest row: {exc}") from exc
+        if entry.id in seen:
+            raise ValueError(f"{where}: duplicate id {entry.id!r}")
+        seen.add(entry.id)
+        entries.append(entry)
     return entries
 
 

@@ -6,43 +6,55 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 from .tokenizer import TokenizedText
 
 
-@dataclass(frozen=True)
 class RankedProfile:
-    """Symbols sorted by descending frequency.
+    """Symbol frequencies ranked in descending order.
 
-    entries[r-1] is (symbol, f_r) for rank r. build_profile produces integer
-    counts; synthetic profiles with real-valued frequencies are accepted as
-    well, so model-matching reference profiles can be expressed exactly.
+    freqs[r-1] is f_r for rank r; D, L and every measure read freqs only.
+    entries[r-1] is (symbol, f_r). A profile built from a symbol -> count
+    mapping ranks its symbols only when entries is first read. Synthetic
+    profiles with real-valued frequencies are accepted as well, so
+    model-matching reference profiles can be expressed exactly.
     """
-    entries: tuple[tuple[str, float], ...]
-    L: float = field(init=False)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[str, float], ...] = (), counts: dict[str, int] | None = None):
+        if counts is not None:
+            self._counts = counts
+            self.freqs = tuple(sorted(counts.values(), reverse=True))
+            self.L = sum(self.freqs)
+            return
         prev = math.inf
         total = 0
-        for symbol, f in self.entries:
+        for symbol, f in entries:
             if not f > 0:
                 raise ValueError(f"frequency of {symbol!r} must be positive, got {f}")
             if f > prev:
                 raise ValueError("frequencies must be non-increasing by rank")
             prev = f
             total += f
-        object.__setattr__(self, "L", total)
+        self.entries = tuple(entries)
+        self.freqs = tuple(f for _, f in self.entries)
+        self.L = total
+
+    @cached_property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        # a stable sort by count keeps the ascending symbol order within ties
+        return tuple(sorted(sorted(self._counts.items()), key=itemgetter(1), reverse=True))
 
     @property
     def D(self) -> int:
-        return len(self.entries)
+        return len(self.freqs)
 
     def frequency(self, rank: int) -> float:
         """f_r for 1-based rank r."""
         if not 1 <= rank <= self.D:
             raise ValueError(f"rank {rank} outside 1..{self.D}")
-        return self.entries[rank - 1][1]
+        return self.freqs[rank - 1]
 
     @classmethod
     def from_frequencies(cls, freqs) -> "RankedProfile":
@@ -54,7 +66,7 @@ class RankedProfile:
 def build_profile(t: TokenizedText) -> RankedProfile:
     """Count each distinct symbol and rank by descending frequency. Ties are
     broken by ascending symbol code-point order so output is deterministic."""
-    return RankedProfile(tuple(sorted(t.counts.items(), key=lambda kv: (-kv[1], kv[0]))))
+    return RankedProfile(counts=t.counts)
 
 
 def specific_diversity(p: RankedProfile) -> float:
@@ -68,7 +80,7 @@ def segment_mass(p: RankedProfile, a: int, b: int) -> float:
     """Total symbol appearances over the rank segment a..b (inclusive)."""
     if not 1 <= a <= b <= p.D:
         raise ValueError(f"rank segment {a}..{b} outside 1..{p.D}")
-    return sum(f for _, f in p.entries[a - 1:b])
+    return sum(p.freqs[a - 1:b])
 
 
 def entropy(p: RankedProfile) -> float:
@@ -82,7 +94,9 @@ def entropy(p: RankedProfile) -> float:
     if p.D == 1:
         return 0.0
     L = p.L
-    bits = -sum((f / L) * math.log2(f / L) for _, f in p.entries)
+    # one term per distinct frequency, summed in rank order
+    terms = {f: (f / L) * math.log2(f / L) for f in set(p.freqs)}
+    bits = -sum(map(terms.__getitem__, p.freqs))
     # summation rounding can land an ulp above 1 on uniform profiles
     return min(bits / math.log2(p.D), 1.0)
 

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, mul, truediv
 
 from .profile import RankedProfile, segment_mass
 
@@ -42,7 +45,7 @@ def zipf_reference(p: RankedProfile, fit: ZipfFit) -> float:
         raise ValueError(f"segment end {fit.b} beyond profile diversity {p.D}")
     if p.L <= 0:
         raise ValueError("reference mass undefined for an empty profile")
-    return sum(fit.f_a / r ** fit.g for r in range(fit.a, fit.b + 1))
+    return sum(map(truediv, repeat(fit.f_a), map(pow, range(fit.a, fit.b + 1), repeat(fit.g))))
 
 
 def zipf_deviation(p: RankedProfile, fit: ZipfFit) -> float:
@@ -56,6 +59,11 @@ def zipf_deviation(p: RankedProfile, fit: ZipfFit) -> float:
     return (segment_mass(p, 1, p.D) - z) / z
 
 
+# log r and the running sums of (log r)**2 for r = 1, 2, ...; a longer pair
+# replaces the whole tuple, so a caller never sees the two out of step
+_log_tables: tuple[list[float], list[float]] = ([], [])
+
+
 def fit_zipf_exponent(p: RankedProfile) -> float:
     """Least-squares exponent in log-log space with the intercept anchored at
     log f_1: minimizes sum over ranks of (log f_r - (log f_1 - g log r))**2.
@@ -63,11 +71,14 @@ def fit_zipf_exponent(p: RankedProfile) -> float:
     """
     if p.D < 3:
         raise ValueError(f"need at least 3 ranks to fit an exponent, got {p.D}")
-    log_f1 = math.log(p.entries[0][1])
-    num = 0.0
-    den = 0.0
-    for r, (_, f) in enumerate(p.entries, start=1):
-        lr = math.log(r)
-        num += lr * (log_f1 - math.log(f))
-        den += lr * lr
-    return num / den
+    global _log_tables
+    log_r, sq_sums = _log_tables
+    if len(log_r) < p.D:
+        log_r = list(map(math.log, range(1, 2 * p.D)))
+        sq_sums = list(accumulate(map(mul, log_r, log_r)))
+        _log_tables = log_r, sq_sums
+    log_f1 = math.log(p.freqs[0])
+    ratios = {f: log_f1 - math.log(f) for f in set(p.freqs)}
+    # reduce adds left to right, as a loop would; sum compensates on 3.12+
+    num = reduce(add, map(mul, log_r, map(ratios.__getitem__, p.freqs)), 0.0)
+    return num / sq_sums[p.D - 1]

@@ -86,6 +86,19 @@ def test_analyze_partial_failure_exit_codes(sample_texts, tmp_path, capsys):
                  "--out", str(tmp_path / "r2.csv")]) == 1
 
 
+def test_analyze_ends_with_a_summary_by_cause(sample_texts, tmp_path, capsys):
+    a, b = sample_texts
+    empty, bad = tmp_path / "empty.txt", tmp_path / "bad.txt"
+    empty.write_text("", encoding="utf-8")
+    bad.write_bytes(b"caf\xe9 au lait")
+    paths = [a, tmp_path / "missing.txt", empty, b, tmp_path / "gone.txt", bad]
+    assert main(["analyze", *map(str, paths), "--lang", "en", "--out", str(tmp_path / "r.csv")]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "analyzed 2, failed 4 (2 FileNotFoundError, 1 UnicodeDecodeError, 1 ValueError)")
+    assert main(["analyze", str(a), "--lang", "en", "--out", str(tmp_path / "r2.csv")]) == 0
+    assert capsys.readouterr().err == "analyzed 1, failed 0\n"
+
+
 def test_analyze_zipf_override(sample_texts, tmp_path):
     a, _ = sample_texts
     out = tmp_path / "r.csv"
@@ -201,6 +214,18 @@ def test_fit_skips_unloadable_texts(synthetic_growth_corpus, tmp_path, capsys):
     assert len(errors) == 2
     assert errors[0].startswith("error: T8: ") and "not found" in errors[0]
     assert errors[1].startswith("error: T9: ") and "utf-8" in errors[1]
+
+
+def test_fit_entropy_skips_a_text_without_symbols(tmp_path, capsys):
+    text, empty = tmp_path / "text.txt", tmp_path / "empty.txt"
+    text.write_text("the cat and the dog and the bird", encoding="utf-8")
+    empty.write_text("", encoding="utf-8")
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [["T0", "text", "S", "O", "EN", "false", "", str(text)],
+                               ["T1", "empty", "S", "O", "EN", "false", "", str(empty)]])
+    assert main(["fit", "--manifest", str(manifest), "--model", "entropy"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["T1: no symbols to fit", "English: insufficient data (1 usable texts)"]
 
 
 def test_fit_entropy_and_zipf_models(synthetic_growth_corpus, capsys):

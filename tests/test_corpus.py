@@ -107,6 +107,20 @@ def test_manifest_malformed_row_names_line(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_malformed_row_names_its_line_after_comments(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "# a corpus\n"
+        "# of two texts\n"
+        "id,name,genre,origin,language,nobel,year,source_path\n"
+        "A,x,S,O,EN,false,,\n"
+        "B,y,Q,O,EN,false,,\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match=r"m\.csv:5: malformed"):
+        load_manifest(path)
+
+
 def test_manifest_missing_columns(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("id,name\nA,x\n", encoding="utf-8")

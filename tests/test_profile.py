@@ -1,7 +1,8 @@
 import math
 
+import loop_profile
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexigauge.profile import (
     RankedProfile,
@@ -11,7 +12,8 @@ from lexigauge.profile import (
     segment_mass,
     specific_diversity,
 )
-from lexigauge.tokenizer import tokenize
+from lexigauge.tokenizer import TokenizedText, tokenize
+from lexigauge.zipf import fit_zipf_exponent, zipf_deviation, zipf_fit_for, zipf_reference
 
 
 def test_build_profile_ranks_by_frequency():
@@ -122,3 +124,53 @@ def test_merging_symbols_lowers_raw_entropy(cs):
     raw_p = entropy(p) * math.log2(p.D)
     raw_q = entropy(q) * math.log2(q.D) if q.D > 1 else 0.0
     assert raw_q <= raw_p + 1e-9
+
+
+# Count maps where the rank-frequency path and the per-symbol loop could part
+# ways: many tied counts, one to three symbols, and symbols that differ only
+# in non-ASCII code points.
+SYMBOLS = st.text(alphabet="abzßİıñé’…,.¿0٣ǅ", min_size=1, max_size=3)
+int_counts = st.dictionaries(SYMBOLS, st.integers(min_value=1, max_value=6), min_size=1, max_size=60)
+small_counts = st.dictionaries(SYMBOLS, st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
+float_counts = st.dictionaries(
+    SYMBOLS, st.sampled_from([0.5, 1.0, 1.25, 3.0, 1e-3, 1 / 3, 1000.75]), min_size=1, max_size=40)
+
+
+def _assert_matches_loops(p, counts):
+    entries = loop_profile.loop_entries(counts)
+    assert p.entries == entries
+    assert p.L == loop_profile.loop_L(entries)
+    assert p.D == len(entries)
+    assert entropy(p) == loop_profile.loop_entropy(entries)
+    g = 0.0
+    if p.D >= 3:
+        g = fit_zipf_exponent(p)
+        assert g == loop_profile.loop_fit_zipf_exponent(entries)
+    fit = zipf_fit_for(p, g)
+    assert zipf_reference(p, fit) == loop_profile.loop_zipf_reference(entries[0][1], g, 1, p.D)
+    assert zipf_deviation(p, fit) == loop_profile.loop_zipf_deviation(entries, g)
+
+
+@settings(max_examples=300)
+@given(st.one_of(int_counts, small_counts))
+def test_built_profile_matches_the_loops(counts):
+    t = TokenizedText(counts=counts, L=sum(counts.values()), L_w=0, L_ph=0, L_CH=0)
+    _assert_matches_loops(build_profile(t), counts)
+
+
+@settings(max_examples=300)
+@given(float_counts)
+def test_hand_built_profile_matches_the_loops(counts):
+    _assert_matches_loops(RankedProfile(loop_profile.loop_entries(counts)), counts)
+
+
+def test_measures_do_not_rank_symbols():
+    p = build_profile(tokenize("the cat and the dog and the bird, and a cat."))
+    d, h = specific_diversity(p), entropy(p)
+    g = fit_zipf_exponent(p)
+    j = zipf_deviation(p, zipf_fit_for(p, g))
+    assert (p.D, p.L, p.frequency(2), segment_mass(p, 1, p.D)) == (8, 13, 3, 13)
+    assert 0 < d < 1 and 0 < h < 1 and g > 0 and j != 0
+    assert "entries" not in vars(p)
+    assert p.entries[0] == ("and", 3)
+    assert "entries" in vars(p)
