@@ -28,6 +28,7 @@ from .corpus import (
     REPORT_COLUMNS,
     CorpusEntry,
     Genre,
+    GroupKey,
     Language,
     Origin,
     load_bundled_tables,
@@ -289,8 +290,11 @@ def _log_spaced(lo: float, hi: float, n: int = 100) -> list[float]:
     return [math.exp(math.log(lo) + i * step) for i in range(n)]
 
 
+_GROUP_LABELS = {key: label for label, key in targets.GROUPS.items()}
+
+
 def _group_label(entry) -> str:
-    return f"{entry.language.code.lower()}-{'nobel' if entry.nobel else 'non'}"
+    return _GROUP_LABELS[GroupKey(entry.language, entry.nobel)]
 
 
 def cmd_plotdata(args) -> int:
@@ -305,14 +309,14 @@ def cmd_plotdata(args) -> int:
     header: list[str] = []
     comments: list[str] = [f"# figure: {figure}"]
 
-    if args.report:
-        records = load_report(args.report)
-    else:
-        try:
+    try:
+        if args.report:
+            records = load_report(args.report)
+        else:
             fixture_rows = load_bundled_tables(args.reference_dir)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if figure == "entropy":
         header = ["series", "d", "h"]

@@ -11,7 +11,6 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import dropwhile
 from pathlib import Path
 
 from ._data import data_path
@@ -108,16 +107,22 @@ def _parse_bool(text: str, where: str) -> bool:
 MANIFEST_COLUMNS = ("id", "name", "genre", "origin", "language", "nobel", "year", "source_path")
 
 
+def _read_csv(path: str | Path) -> tuple[csv.DictReader, int]:
+    """A reader over a CSV file after its leading `#` comment lines, and the
+    number of those lines: a row ends on physical line comments + line_num."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    comments = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    return csv.DictReader(lines[comments:]), comments
+
+
 def load_manifest(path: str | Path) -> list[CorpusEntry]:
     """Read a corpus manifest; `#` lines before the header are comments.
     Missing year falls back to a leading 'YYYY.' prefix of the name; empty
     source_path means no text on disk."""
     entries: list[CorpusEntry] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    comments = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
-    reader = csv.DictReader(lines[comments:])
+    reader, comments = _read_csv(path)
     if reader.fieldnames is None:
         return entries
     missing = [c for c in MANIFEST_COLUMNS[:6] if c not in reader.fieldnames]
@@ -259,31 +264,28 @@ REPORT_COLUMNS = (
     "d_rel", "h_rel", "W", "S", "readability", "wqs_verbatim", "wqs_reconstructed",
 )
 
-_REPORT_INT = frozenset(("L", "D"))
-_REPORT_STR = frozenset(("id", "name", "genre", "origin"))
+# how load_report types each column; every column not listed is a float
+_REPORT_TYPES = {"id": str, "name": str, "genre": str, "origin": str, "L": int, "D": int}
 
 
 def load_report(path: str | Path) -> list[dict]:
     """Parse an analysis report written by the command-line tool back into
     typed records (ints for counts, floats for metrics). `#` lines before the
-    header are comments."""
+    header are comments. A malformed row raises ValueError naming its line."""
     records: list[dict] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(dropwhile(lambda line: line.startswith("#"), fh))
-        if reader.fieldnames is None:
-            return records
-        missing = [c for c in REPORT_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: report missing columns {missing}")
-        for row in reader:
-            rec: dict = {}
+    reader, comments = _read_csv(path)
+    if reader.fieldnames is None:
+        return records
+    missing = [c for c in REPORT_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise ValueError(f"{path}: report missing columns {missing}")
+    for row in reader:
+        rec: dict = {}
+        try:
             for col in REPORT_COLUMNS:
-                value = row[col]
-                if col in _REPORT_STR:
-                    rec[col] = value
-                elif col in _REPORT_INT:
-                    rec[col] = int(value)
-                else:
-                    rec[col] = float(value)
-            records.append(rec)
+                rec[col] = _REPORT_TYPES.get(col, float)(row[col])
+        except (TypeError, ValueError) as exc:  # TypeError: a short row's missing cell
+            raise ValueError(f"{path}:{comments + reader.line_num}: malformed report row "
+                             f"({col}): {exc}") from exc
+        records.append(rec)
     return records

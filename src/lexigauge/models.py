@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul, sub
 
 from ._data import data_path
 from .corpus import Language
+from .stats import linear_regression
 from .wqs import WqsCoefficients, load_wqs_presets
 
 
@@ -81,26 +81,47 @@ def relative_entropy(h: float, h_m: float) -> float:
     return h - h_m
 
 
+def _dot(u, v) -> float:
+    return math.fsum(map(mul, u, v))
+
+
+def _normal_step(J, r) -> list[float]:
+    """Solve (J^T J) step = J^T r in closed form for one or two columns J."""
+    g = [_dot(col, r) for col in J]
+    if len(J) == 1:
+        return [g[0] / _dot(J[0], J[0])]
+    a, b, c = _dot(J[0], J[0]), _dot(J[0], J[1]), _dot(J[1], J[1])
+    det = a * c - b * b
+    return [(c * g[0] - b * g[1]) / det, (a * g[1] - b * g[0]) / det]
+
+
 def _gauss_newton(theta, residual_jacobian, max_iter=100, tol=1e-10):
-    """Damped Gauss-Newton. residual_jacobian(theta) -> (r, J) with J the
-    Jacobian of the model predictions (so the step solves J step = r).
-    Backtracks the step until the squared error does not increase."""
-    theta = np.asarray(theta, dtype=float)
+    """Damped Gauss-Newton. residual_jacobian(theta) -> (r, J) with r the
+    residuals and J the Jacobian columns of the model predictions (so the
+    step solves J step = r). Backtracks the step until the squared error
+    does not increase (an overflow counts as an increase); a singular step
+    ends the iteration."""
     r, J = residual_jacobian(theta)
-    sse = float(r @ r)
+    sse = _dot(r, r)
     for _ in range(max_iter):
-        step, *_ = np.linalg.lstsq(J, r, rcond=None)
+        try:
+            step = _normal_step(J, r)
+        except ZeroDivisionError:
+            break
         scale = 1.0
         for _ in range(60):
-            candidate = theta + scale * step
-            rc, Jc = residual_jacobian(candidate)
-            sse_c = float(rc @ rc)
+            candidate = [t + scale * s for t, s in zip(theta, step)]
+            try:
+                rc, Jc = residual_jacobian(candidate)
+                sse_c = _dot(rc, rc)
+            except OverflowError:
+                sse_c = math.inf
             if sse_c <= sse:
                 break
             scale *= 0.5
         else:
             break
-        rel_step = np.max(np.abs(scale * step) / np.maximum(np.abs(theta), 1e-300))
+        rel_step = max(abs(scale * s) / max(abs(t), 1e-300) for s, t in zip(step, theta))
         theta, r, J, sse = candidate, rc, Jc, sse_c
         if rel_step < tol:
             break
@@ -112,26 +133,23 @@ def fit_heaps(points: list[tuple[float, float]]) -> tuple[float, float]:
     points. Needs at least 3 points with distinct L."""
     if len(points) < 3:
         raise ValueError(f"need at least 3 (L, D) points, got {len(points)}")
-    L = np.array([p[0] for p in points], dtype=float)
-    D = np.array([p[1] for p in points], dtype=float)
-    if np.all(L == L[0]):
+    L, D = ([float(v) for v in column] for column in zip(*points))
+    if all(x == L[0] for x in L):
         raise ValueError("all lengths equal; cannot fit a growth curve")
-    if np.any(L <= 0) or np.any(D <= 0):
+    if any(x <= 0 for x in L + D):
         raise ValueError("lengths and diversities must be positive")
 
-    logL = np.log(L)
-    slope, intercept = np.polyfit(logL, np.log(D), 1)
-    theta0 = (math.exp(intercept), slope)
+    logL = [math.log(x) for x in L]
+    seed = linear_regression(logL, [math.log(x) for x in D])
 
     def residual_jacobian(theta):
         c, beta = theta
-        pred = c * L ** beta
-        r = D - pred
-        J = np.column_stack([L ** beta, pred * logL])
-        return r, J
+        powers = [x ** beta for x in L]
+        pred = [c * p for p in powers]
+        return list(map(sub, D, pred)), (powers, list(map(mul, pred, logL)))
 
-    (c, beta), _ = _gauss_newton(theta0, residual_jacobian)
-    return float(c), float(beta)
+    (c, beta), _ = _gauss_newton((math.exp(seed.intercept), seed.slope), residual_jacobian)
+    return c, beta
 
 
 def fit_entropy_model(points: list[tuple[float, float]]) -> float:
@@ -139,24 +157,21 @@ def fit_entropy_model(points: list[tuple[float, float]]) -> float:
     Needs at least 2 points with 0 < d < 1 and 0 < h <= 1."""
     if len(points) < 2:
         raise ValueError(f"need at least 2 (d, h) points, got {len(points)}")
-    d = np.array([p[0] for p in points], dtype=float)
-    h = np.array([p[1] for p in points], dtype=float)
-    if np.any((d <= 0) | (d >= 1)):
+    d, h = ([float(v) for v in column] for column in zip(*points))
+    if any(x <= 0 or x >= 1 for x in d):
         raise ValueError("specific diversities must lie strictly inside (0,1)")
-    if np.any((h <= 0) | (h > 1)):
+    if any(x <= 0 or x > 1 for x in h):
         raise ValueError("entropies must lie in (0,1]")
 
-    logd = np.log(d)
-    e0 = float(logd @ np.log(h) / (logd @ logd))
+    logd = [math.log(x) for x in d]
+    e0 = _dot(logd, map(math.log, h)) / _dot(logd, logd)
 
     def residual_jacobian(theta):
-        pred = d ** theta[0]
-        r = h - pred
-        J = (pred * logd).reshape(-1, 1)
-        return r, J
+        pred = [x ** theta[0] for x in d]
+        return list(map(sub, h, pred)), (list(map(mul, pred, logd)),)
 
     (e,), _ = _gauss_newton((e0,), residual_jacobian)
-    return float(e)
+    return e
 
 
 def load_language_params(

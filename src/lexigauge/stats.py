@@ -112,14 +112,20 @@ def t_test(a: list[float], b: list[float], welch: bool = False) -> float:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ValueError("both samples need at least 2 values")
-    sa, sb = summarize(a), summarize(b)
+    # Centred on one shared value, exactly shifted samples give the same
+    # p-value; the min keeps t_test(a, b) == t_test(b, a).
+    ref = min(a[0], b[0])
+    sa, sb = summarize([v - ref for v in a]), summarize([v - ref for v in b])
     va, vb = sa.std ** 2, sb.std ** 2
     diff = sa.mean - sb.mean
     if welch:
         se2 = va / na + vb / nb
         if se2 == 0.0:
             return 1.0 if diff == 0.0 else 0.0
-        df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+        # Welch-Satterthwaite df from each sample's share of se2: squaring
+        # the shares themselves could underflow to a zero denominator
+        wa, wb = va / na / se2, vb / nb / se2
+        df = 1.0 / (wa * wa / (na - 1) + wb * wb / (nb - 1))
         t = diff / math.sqrt(se2)
     else:
         df = na + nb - 2

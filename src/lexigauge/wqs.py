@@ -90,9 +90,6 @@ def wqs(coeffs: WqsCoefficients, point: StylePoint) -> float:
     return w.d_rel * shifted.d_rel + w.h_rel * shifted.h_rel + w.j * shifted.j
 
 
-PRESET_LABELS = ("verbatim-en", "verbatim-es", "reconstructed-en", "reconstructed-es")
-
-
 def load_wqs_presets(path: str | None = None) -> dict[str, WqsCoefficients]:
     """Presets from a `label,origin_d,origin_h,origin_j,w_d,w_h,w_j` file.
     Defaults to the bundled file (LEXIGAUGE_PRESET_DIR overrides the

@@ -7,7 +7,14 @@ import pytest
 
 from lexigauge._data import data_dir
 from lexigauge.cli import main, write_report
-from lexigauge.corpus import CorpusEntry, Genre, Language, Origin, load_report
+from lexigauge.corpus import (
+    REPORT_COLUMNS,
+    CorpusEntry,
+    Genre,
+    Language,
+    Origin,
+    load_report,
+)
 from lexigauge.models import load_language_params
 from lexigauge.pipeline import analyze_text
 
@@ -291,6 +298,29 @@ def test_plot_data_report_figures(sample_texts, tmp_path):
     assert main(["plot-data", "--figure", "zipf", "--report", str(report),
                  "--out", str(out2)]) == 0
     assert any(l.startswith("data,") for l in read_lines(out2))
+
+
+def test_plot_data_bad_report_cell_names_its_line(sample_texts, tmp_path, capsys):
+    a, b = sample_texts
+    report = tmp_path / "r.csv"
+    main(["analyze", str(a), str(b), "--lang", "en", "--out", str(report)])
+    lines = report.read_text(encoding="utf-8").splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    cells = lines[header + 2].split(",")
+    cells[REPORT_COLUMNS.index("L")] = "x"
+    lines[header + 2] = ",".join(cells)
+    report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["plot-data", "--figure", "diversity", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}:{header + 3}: ") and "'x'" in err
+
+
+def test_plot_data_missing_report(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["plot-data", "--figure", "zipf", "--report", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
 
 
 def test_plot_data_trend(tmp_path, capsys):

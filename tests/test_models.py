@@ -1,12 +1,18 @@
+import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lexigauge.corpus import Language
 from lexigauge.models import (
     LanguageParams,
+    _normal_step,
     alpha_from_exponent,
     entropy_model_predict,
     fit_entropy_model,
@@ -16,6 +22,9 @@ from lexigauge.models import (
     relative_diversity,
     relative_entropy,
 )
+
+REPO = Path(__file__).resolve().parent.parent
+GETTYSBURG = REPO / "src" / "lexigauge" / "data" / "texts" / "gettysburg_address.txt"
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +164,61 @@ def test_refinement_never_worse_than_log_seed(rng):
     c0, b0 = _log_init_heaps(points)
     fc, fb = fit_heaps(points)
     assert _sse_heaps(points, fc, fb) <= _sse_heaps(points, c0, b0) + 1e-9
+
+
+@pytest.mark.parametrize("points", [
+    # a trial step makes L**beta overflow
+    [(2166, 3.46), (201015, 182231), (2908487, 113439), (1937367, 345537), (6084, 222.7)],
+    # beta runs so negative that L**beta underflows and the normal equations
+    # turn singular
+    [(21436, 1.11), (123, 40908), (25261, 1867), (12.4, 17289), (1995, 11724), (209232, 24.8)],
+], ids=["overflow", "singular"])
+def test_fit_heaps_on_points_without_a_growth_law(points):
+    c0, b0 = _log_init_heaps(points)
+    fc, fb = fit_heaps(points)
+    assert _sse_heaps(points, fc, fb) < _sse_heaps(points, c0, b0)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=2), st.integers(min_value=4, max_value=40),
+       st.randoms(use_true_random=False))
+def test_normal_step_matches_lstsq(columns, rows, rng):
+    # numpy's SVD-based least squares is the reference for the closed-form
+    # normal-equation step on well-conditioned, well-scaled systems
+    def entry(high):
+        return rng.choice((-1, 1)) * rng.uniform(0.1, high)
+
+    J = [[entry(1) for _ in range(rows)] for _ in range(columns)]
+    A = np.array(J).T
+    assume(np.linalg.cond(A) < 10)
+    x = np.array([entry(10) for _ in range(columns)])
+    r = A @ x + np.array([rng.uniform(-0.5, 0.5) for _ in range(rows)])
+    step = _normal_step(J, r.tolist())
+    ref, *_ = np.linalg.lstsq(A, r, rcond=None)
+    assert np.linalg.norm(np.subtract(step, ref)) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_cli_needs_no_numpy(tmp_path):
+    # numpy is a test-only oracle: every command, the model fits included,
+    # must run with its import blocked
+    words = GETTYSBURG.read_text(encoding="utf-8").split()
+    manifest = tmp_path / "manifest.csv"
+    with open(manifest, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "name", "genre", "origin", "language", "nobel", "year", "source_path"])
+        for n in (40, 80, 160, 240):
+            text = tmp_path / f"g{n}.txt"
+            text.write_text(" ".join(words[:n]), encoding="utf-8")
+            w.writerow([f"G{n}", f"first {n} words", "S", "O", "EN", "false", "", str(text)])
+    block = ("import sys; sys.modules['numpy'] = None; "
+             "from lexigauge.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ)
+    src = str(REPO / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    for argv in (["verify"],
+                 ["analyze", str(GETTYSBURG), "--lang", "en"],
+                 ["fit", "--manifest", str(manifest), "--model", "heaps"],
+                 ["fit", "--manifest", str(manifest), "--model", "entropy"]):
+        result = subprocess.run([sys.executable, "-c", block, *argv], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, (argv, result.stderr)

@@ -37,6 +37,12 @@ def test_t_test_zero_variance():
     assert t_test([2.0, 2.0, 2.0], [3.0, 3.0]) == 0.0
 
 
+def test_welch_with_a_tiny_variance():
+    # the squared variance shares underflow to 0 unless taken relative to
+    # their sum; here t = -1 on 1 degree of freedom
+    assert t_test([0.0, 0.0], [0.0, 3.4e-118], welch=True) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_t_test_needs_two_per_sample():
     with pytest.raises(ValueError):
         t_test([1.0], [1.0, 2.0])
@@ -129,6 +135,7 @@ samples = st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_siz
 @given(samples, samples)
 def test_t_test_symmetry(a, b):
     assert t_test(a, b) == t_test(b, a)
+    assert t_test(a, b, welch=True) == t_test(b, a, welch=True)
 
 
 # Adding a shift to a float can round away a small spread: [0, 1.2e-38] + 1
@@ -144,11 +151,26 @@ dyadic_samples = st.lists(
 
 
 @settings(max_examples=50)
-@given(dyadic_samples, dyadic_samples, st.integers(min_value=-50, max_value=50).map(float))
-def test_t_test_location_equivariance(a, b, shift):
-    p1 = t_test(a, b)
-    p2 = t_test([v + shift for v in a], [v + shift for v in b])
-    assert p1 == pytest.approx(p2, abs=1e-12)
+@given(dyadic_samples, dyadic_samples, st.integers(min_value=-50, max_value=50).map(float),
+       st.booleans())
+def test_t_test_location_equivariance(a, b, shift, welch):
+    # t_test centres both samples on one of their values, so an exact shift
+    # gives exactly the same centred data and the same p-value
+    p1 = t_test(a, b, welch=welch)
+    p2 = t_test([v + shift for v in a], [v + shift for v in b], welch=welch)
+    assert p1 == p2
+
+
+@pytest.mark.parametrize("welch", [False, True])
+def test_t_test_exact_under_shift_of_clustered_samples(welch):
+    # Without centring, the sample means round differently at the two
+    # magnitudes and the p-values differ by about 1.4e-11.
+    a = [k / 1024 for k in (-89403, -89399, -89402, -89401, -89400, -89402, -89399, -89403,
+                            -89399)]
+    b = [k / 1024 for k in (-89399, -89402, -89403, -89399, -89399, -89402, -89401, -89403,
+                            -89399, -89403, -89399)]
+    shifted = t_test([v - 43 for v in a], [v - 43 for v in b], welch=welch)
+    assert t_test(a, b, welch=welch) == shifted
 
 
 @settings(max_examples=50)
