@@ -1,8 +1,12 @@
-"""Locate bundled data files, honoring the LEXIGAUGE_PRESET_DIR override."""
+"""Locate bundled data files, honoring the LEXIGAUGE_PRESET_DIR override, and
+read the CSV tables among them."""
 from __future__ import annotations
 
+import csv
 import os
+from collections.abc import Iterator
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 ENV_VAR = "LEXIGAUGE_PRESET_DIR"
@@ -25,3 +29,42 @@ def data_path(name: str) -> Path:
             f"(set {ENV_VAR} to a directory containing it, or unset it)"
         )
     return path
+
+
+def read_table(
+    path: str | Path, columns: tuple[str, ...], comments: list[tuple[int, str]] | None = None,
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Read a CSV file in which every line starting with `#` is a comment
+    (appended to comments as (line, text) before this returns, if given).
+    The iterator returned yields (line, cells) for each non-blank record after
+    the header: line is the physical line the record ends on, cells are its
+    cells under columns, in that order. A header lacking one of columns, or a
+    record with fewer cells than the header, raises ValueError naming the
+    file or the line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    data: list[str] = []
+    numbers: list[int] = []
+    for number, line in enumerate(lines, start=1):
+        if not line.startswith("#"):
+            data.append(line)
+            numbers.append(number)
+        elif comments is not None:
+            comments.append((number, line))
+
+    def records() -> Iterator[tuple[int, tuple[str, ...]]]:
+        reader = csv.reader(data)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        index = {c: i for i, c in enumerate(header)}  # the last of repeated names, as DictReader
+        pick = itemgetter(*(index[c] for c in columns))
+        for cells in reader:
+            if len(cells) >= len(header):
+                yield numbers[reader.line_num - 1], pick(cells)
+            elif cells:
+                raise ValueError(f"{path}:{numbers[reader.line_num - 1]}: short row: "
+                                 f"{len(cells)} cells, the header has {len(header)}")
+
+    return records()

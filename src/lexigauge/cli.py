@@ -23,12 +23,11 @@ from collections import Counter
 from pathlib import Path
 
 from . import targets
-from ._data import data_path
+from ._data import data_dir, read_table
 from .corpus import (
     REPORT_COLUMNS,
     CorpusEntry,
     Genre,
-    GroupKey,
     Language,
     Origin,
     load_bundled_tables,
@@ -94,9 +93,16 @@ def _open_out(out: str | None):
 
 def cmd_analyze(args) -> int:
     language = Language.parse(args.lang)
-    params = load_language_params()[language]
+    try:
+        params = load_language_params().get(language)
+        presets = load_wqs_presets() if args.preset is not None else {}
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if params is None:
+        print(f"error: language_params.csv has no {language.value} row", file=sys.stderr)
+        return 1
     if args.preset is not None:
-        presets = load_wqs_presets()
         if args.preset not in presets:
             print(
                 f"error: unknown preset {args.preset!r}; available: {', '.join(sorted(presets))}",
@@ -213,7 +219,11 @@ def cmd_fit(args) -> int:
         return 1
 
     if args.out and args.model in ("heaps", "entropy"):
-        defaults = load_language_params()
+        try:
+            defaults = load_language_params()
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["language", "heaps_c", "heaps_beta", "entropy_exponent", "c_sy"])
@@ -290,16 +300,15 @@ def _log_spaced(lo: float, hi: float, n: int = 100) -> list[float]:
     return [math.exp(math.log(lo) + i * step) for i in range(n)]
 
 
-_GROUP_LABELS = {key: label for label, key in targets.GROUPS.items()}
+_GROUP_LABELS = {(key.language, key.nobel): label for label, key in targets.GROUPS.items()}
 
 
 def _group_label(entry) -> str:
-    return _GROUP_LABELS[GroupKey(entry.language, entry.nobel)]
+    return _GROUP_LABELS[entry.language, entry.nobel]
 
 
 def cmd_plotdata(args) -> int:
     figure = args.figure
-    params = load_language_params()
     need_report = figure in ("diversity", "zipf", "trend")
     if need_report and not args.report:
         print(f"error: figure {figure!r} needs per-text counts; pass --report", file=sys.stderr)
@@ -314,6 +323,8 @@ def cmd_plotdata(args) -> int:
             records = load_report(args.report)
         else:
             fixture_rows = load_bundled_tables(args.reference_dir)
+        if figure in ("entropy", "diversity"):  # the figures with model curves
+            params = load_language_params()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -405,37 +416,30 @@ def _check(checks: list, ok: bool, message: str, info: bool = False) -> None:
     checks.append(("INFO" if info else ("PASS" if ok else "FAIL"), message))
 
 
-def _verify_digests(checks: list, directory: Path) -> None:
+def _verify_digests(checks: list, directory: Path, cells: dict) -> None:
+    """Check each row's md5 digest of its seven metric cells, as written (the
+    cells load_bundled_tables collected), against the integrity sidecar."""
     sidecar = directory / "integrity.csv"
     if not sidecar.is_file():
         _check(checks, True, "row digests: no integrity.csv sidecar; skipped", info=True)
         return
-    expected: dict[tuple[str, str], str] = {}
-    with open(sidecar, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(r for r in fh if not r.startswith("#"))
-        for row in reader:
-            expected[(row["file"], row["id"])] = row["digest"]
+    try:
+        expected = {(name, rid): digest for _, (name, rid, digest)
+                    in read_table(sidecar, ("file", "id", "digest"))}
+    except ValueError as exc:
+        _check(checks, False, f"row digests: {exc}")
+        return
     bad = []
     seen = set()
-    from .corpus import BUNDLED_TABLES
-
-    for name, _, _ in BUNDLED_TABLES:
-        path = directory / name
-        if not path.is_file():
-            continue
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(r for r in fh if not r.startswith("#"))
-            for row in reader:
-                blob = "|".join(
-                    row[c] for c in ("d", "h", "d_rel", "h_rel", "j", "readability", "wqs")
-                )
-                digest = hashlib.md5(blob.encode()).hexdigest()[:10]
-                key = (name, row["id"])
-                seen.add(key)
-                if key not in expected:
-                    bad.append(f"{name} row {row['id']}: not in integrity sidecar")
-                elif expected[key] != digest:
-                    bad.append(f"{name} row {row['id']}: numeric fields altered")
+    for name, table in cells.items():
+        for rid, numeric in table:
+            digest = hashlib.md5("|".join(numeric).encode()).hexdigest()[:10]
+            key = (name, rid)
+            seen.add(key)
+            if key not in expected:
+                bad.append(f"{name} row {rid}: not in integrity sidecar")
+            elif expected[key] != digest:
+                bad.append(f"{name} row {rid}: numeric fields altered")
     missing = sorted(set(expected) - seen)
     for key in missing:
         bad.append(f"{key[0]} row {key[1]}: listed in sidecar but missing from table")
@@ -454,16 +458,21 @@ def cmd_verify(args) -> int:
         print("error: --tolerance must be >= 0", file=sys.stderr)
         return 2
     checks: list[tuple[str, str]] = []
-    directory = Path(args.reference_dir) if args.reference_dir else data_path("integrity.csv").parent
+    directory = Path(args.reference_dir) if args.reference_dir else data_dir()
+    preset_path = None
+    if args.reference_dir and (directory / "wqs_presets.csv").is_file():
+        preset_path = str(directory / "wqs_presets.csv")
 
+    cells: dict[str, list] = {}
     try:
-        rows = load_bundled_tables(args.reference_dir)
+        rows = load_bundled_tables(args.reference_dir, cells)
+        presets = load_wqs_presets(preset_path)
     except (OSError, ValueError) as exc:
         print(f"FAIL  table load: {exc}")
         print("1 hard failure")
         return 1
 
-    _verify_digests(checks, directory)
+    _verify_digests(checks, directory, cells)
 
     records = targets.recompute(rows)
     sizes = {r.group: r.n for r in records if r.group in targets.GROUPS}
@@ -489,11 +498,6 @@ def cmd_verify(args) -> int:
         else:
             _check(checks, r.holds(tol), message)
 
-    preset_path = None
-    if args.reference_dir:
-        candidate = Path(args.reference_dir) / "wqs_presets.csv"
-        preset_path = str(candidate) if candidate.is_file() else None
-    presets = load_wqs_presets(preset_path)
     for code in ("en", "es"):
         coeffs = presets[f"verbatim-{code}"]
         direction = targets.RECORDED_DIRECTIONS[code]

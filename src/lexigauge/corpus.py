@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from ._data import data_path
+from ._data import data_dir, read_table
 
 _YEAR_PREFIX = re.compile(r"^(\d{4})\.")
 
@@ -75,9 +75,10 @@ class ReferenceRow:
     wqs: float
 
     def __post_init__(self):
-        for field in ("d", "h", "d_rel", "h_rel", "j", "readability", "wqs"):
-            if not math.isfinite(getattr(self, field)):
-                raise ValueError(f"row {self.entry.id}: non-finite {field}")
+        if not all(map(math.isfinite, (self.d, self.h, self.d_rel, self.h_rel, self.j,
+                                       self.readability, self.wqs))):
+            field = next(f for f in METRIC_FIELDS if not math.isfinite(getattr(self, f)))
+            raise ValueError(f"row {self.entry.id}: non-finite {field}")
         if not 0.0 <= self.d <= 1.0:
             raise ValueError(f"row {self.entry.id}: d={self.d} outside [0,1]")
         if not 0.0 <= self.h <= 1.0:
@@ -165,50 +166,60 @@ def save_manifest(entries: list[CorpusEntry], path: str | Path) -> None:
             ])
 
 
-REFERENCE_COLUMNS = ("id", "name", "genre", "origin", "d", "h", "d_rel", "h_rel", "j", "readability", "wqs")
+METRIC_FIELDS = ("d", "h", "d_rel", "h_rel", "j", "readability", "wqs")
+REFERENCE_COLUMNS = ("id", "name", "genre", "origin", *METRIC_FIELDS)
+
+_GENRES = {g.value: g for g in Genre}
+_ORIGINS = {o.value: o for o in Origin}
 
 
 def load_reference_table(
     path: str | Path,
     language: Language | None = None,
     nobel: bool | None = None,
+    cells: list[tuple[str, list[str]]] | None = None,
 ) -> list[ReferenceRow]:
     """Read one bundled metric table. language/nobel default to the file's
-    `# language:` / `# nobel:` directives and may be overridden."""
+    `# language:` / `# nobel:` directives and may be overridden. If cells is
+    given, each row's id and seven metric cells, exactly as written, are
+    appended to it. A malformed row raises ValueError naming its line."""
     rows: list[ReferenceRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        data_lines: list[str] = []
-        for raw in fh:
-            if raw.startswith("#"):
-                body = raw[1:].strip()
-                if body.lower().startswith("language:") and language is None:
-                    language = Language.parse(body.split(":", 1)[1])
-                elif body.lower().startswith("nobel:") and nobel is None:
-                    nobel = _parse_bool(body.split(":", 1)[1], str(path))
-                continue
-            data_lines.append(raw)
+    comments: list[tuple[int, str]] = []
+    records = read_table(path, REFERENCE_COLUMNS, comments)
+    for line, comment in comments:
+        body = comment[1:].strip()
+        if body.lower().startswith("language:") and language is None:
+            try:
+                language = Language.parse(body.split(":", 1)[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from exc
+        elif body.lower().startswith("nobel:") and nobel is None:
+            nobel = _parse_bool(body.split(":", 1)[1], f"{path}:{line}")
     if language is None or nobel is None:
         raise ValueError(f"{path}: missing language/nobel directives and no override given")
-    reader = csv.DictReader(data_lines)
-    if reader.fieldnames is None:
-        return rows
-    missing = [c for c in REFERENCE_COLUMNS if c not in reader.fieldnames]
-    if missing:
-        raise ValueError(f"{path}: reference table missing columns {missing}")
-    for row in reader:
-        rid = row["id"].strip()
-        entry = CorpusEntry(
-            id=rid, name=row["name"].strip(), genre=Genre(row["genre"].strip()),
-            language=language, origin=Origin(row["origin"].strip()), nobel=nobel,
-            year=_parse_year(row["name"].strip()),
-        )
-        metrics = {}
-        for field in ("d", "h", "d_rel", "h_rel", "j", "readability", "wqs"):
+    for line, (raw_id, name, genre, origin, *numeric) in records:
+        try:
+            rid, name = raw_id.strip(), name.strip()
+            genre_m, origin_m = _GENRES.get(genre.strip()), _ORIGINS.get(origin.strip())
+            if genre_m is None:
+                raise ValueError(f"row {rid}: bad genre {genre!r} (expected S or N)")
+            if origin_m is None:
+                raise ValueError(f"row {rid}: bad origin {origin!r} (expected O or T)")
             try:
-                metrics[field] = float(row[field])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path} row {rid}: non-numeric {field}={row[field]!r}") from exc
-        rows.append(ReferenceRow(entry=entry, **metrics))
+                values = list(map(float, numeric))
+            except ValueError:  # name the first cell that is not a number
+                for field, cell in zip(METRIC_FIELDS, numeric):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ValueError(f"row {rid}: non-numeric {field}={cell!r}") from None
+            entry = CorpusEntry(id=rid, name=name, genre=genre_m, language=language,
+                                origin=origin_m, nobel=nobel, year=_parse_year(name))
+            rows.append(ReferenceRow(entry, *values))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from exc
+        if cells is not None:
+            cells.append((raw_id, numeric))
     return rows
 
 
@@ -220,15 +231,22 @@ BUNDLED_TABLES = (
 )
 
 
-def load_bundled_tables(directory: str | Path | None = None) -> list[ReferenceRow]:
+def load_bundled_tables(
+    directory: str | Path | None = None,
+    cells: dict[str, list[tuple[str, list[str]]]] | None = None,
+) -> list[ReferenceRow]:
     """All four bundled metric tables concatenated. directory overrides the
-    package data dir (the LEXIGAUGE_PRESET_DIR env var also does)."""
+    package data dir (the LEXIGAUGE_PRESET_DIR env var also does). If cells
+    is given, it maps each table's file name to its rows' raw cells (see
+    load_reference_table)."""
+    base = Path(directory) if directory is not None else data_dir()
     rows: list[ReferenceRow] = []
     for name, language, nobel in BUNDLED_TABLES:
-        path = Path(directory) / name if directory is not None else data_path(name)
-        if not Path(path).is_file():
-            raise FileNotFoundError(f"reference table {name} not found in {Path(path).parent}")
-        rows.extend(load_reference_table(path, language=language, nobel=nobel))
+        path = base / name
+        if not path.is_file():
+            raise FileNotFoundError(f"reference table {name} not found in {base}")
+        table_cells = None if cells is None else cells.setdefault(name, [])
+        rows.extend(load_reference_table(path, language, nobel, table_cells))
     return rows
 
 

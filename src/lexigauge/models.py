@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from operator import mul, sub
 
-from ._data import data_path
+from ._data import data_path, read_table
 from .corpus import Language
 from .stats import linear_regression
 from .wqs import WqsCoefficients, load_wqs_presets
@@ -180,26 +180,19 @@ def load_language_params(
 ) -> dict[Language, LanguageParams]:
     """Load the per-language parameter table (bundled by default) and attach
     each language's verbatim and reconstructed scale presets."""
-    import csv
-
     resolved = path if path is not None else data_path("language_params.csv")
     presets = load_wqs_presets(presets_path)
     out: dict[Language, LanguageParams] = {}
-    with open(resolved, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        required = ("language", "heaps_c", "heaps_beta", "entropy_exponent", "c_sy")
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-            raise ValueError(f"{resolved}: params file must have columns {','.join(required)}")
-        for row in reader:
-            language = Language.parse(row["language"])
+    columns = ("language", "heaps_c", "heaps_beta", "entropy_exponent", "c_sy")
+    for line, (language, *values) in read_table(resolved, columns):
+        try:
+            language = Language.parse(language)
             code = language.code.lower()
             out[language] = LanguageParams(
-                language=language,
-                heaps_c=float(row["heaps_c"]),
-                heaps_beta=float(row["heaps_beta"]),
-                entropy_exponent=float(row["entropy_exponent"]),
-                c_sy=float(row["c_sy"]),
+                language, *map(float, values),
                 wqs_preset=presets.get(f"verbatim-{code}"),
                 wqs_reconstructed=presets.get(f"reconstructed-{code}"),
             )
+        except ValueError as exc:
+            raise ValueError(f"{resolved}:{line}: bad params row: {exc}") from exc
     return out

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ def summarize(values: list[float]) -> GroupSummary:
     mean = sum(values) / n
     if n == 1:
         return GroupSummary(n=1, mean=mean, std=0.0)
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = sum(map(pow, map(sub, values, repeat(mean)), repeat(2))) / (n - 1)
     return GroupSummary(n=n, mean=mean, std=math.sqrt(var))
 
 

@@ -19,6 +19,7 @@ all for the union of both splits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .corpus import GroupKey, Language, ReferenceRow, select_group
 from .stats import pearson, summarize, t_test
@@ -203,32 +204,32 @@ def recompute(rows: list[ReferenceRow]) -> list[Recomputed]:
     """Every recorded statistic, recomputed from rows, in report order: per
     coordinate the group means and stds then its t-tests, then the scale
     and readability statistics per group, then their t-tests."""
-    groups = split_groups(rows)
-
-    def values(label: str, metric: str) -> list[float]:
-        return [getattr(r, metric) for r in groups[label]]
+    # each group's column of each metric the statistics read, pulled out once
+    values = {(label, metric): list(map(attrgetter(metric), members))
+              for label, members in split_groups(rows).items()
+              for metric in (*RECORDED_GROUP_STATS, "wqs", "readability")}
 
     out: list[Recomputed] = []
     for metric, recorded in RECORDED_GROUP_STATS.items():
         for label in GROUPS:
             _, mean_rec, std_rec = recorded[label]
-            s = summarize(values(label, metric))
+            s = summarize(values[label, metric])
             for field, got, rec in (("mean", s.mean, mean_rec), ("std", s.std, std_rec)):
                 out.append(Recomputed(metric, label, field, s.n, got, rec, "eq", TOL_GROUP_CELL,
                                       (metric, label, field) in DOCUMENTED_DIVERGENCES))
         for pair, (kind, rec) in RECORDED_PVALUES[metric].items():
-            a, b = (values(label, metric) for label in PAIRS[pair])
+            a, b = (values[label, metric] for label in PAIRS[pair])
             out.append(Recomputed(metric, pair, "p", len(a) + len(b), t_test(a, b), rec, kind,
                                   TOL_PVALUE_REL, (metric, pair) in DIVERGENT_PVALUES))
     for label, (_, *recorded) in RECORDED_SCALE_STATS.items():
-        wqs_vals, read_vals = values(label, "wqs"), values(label, "readability")
+        wqs_vals, read_vals = values[label, "wqs"], values[label, "readability"]
         sw, sr = summarize(wqs_vals), summarize(read_vals)
         got = (sw.mean, sw.std, sr.mean, sr.std, pearson(wqs_vals, read_vals))
         for field, g, rec in zip(SCALE_FIELDS, got, recorded):
             out.append(Recomputed("scale", label, field, sw.n, g, rec, "eq", TOL_SCALE_CELL))
     for pair, (kind, rec) in RECORDED_SCALE_PVALUES.items():
         lang, metric = pair.split()[:2]  # "<lang> <metric> nobel vs non"
-        a, b = values(f"{lang}-nobel", metric), values(f"{lang}-non", metric)
+        a, b = values[f"{lang}-nobel", metric], values[f"{lang}-non", metric]
         out.append(Recomputed("scale", pair, "p", len(a) + len(b), t_test(a, b), rec, kind,
                               TOL_PVALUE_REL))
     return out

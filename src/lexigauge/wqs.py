@@ -15,11 +15,10 @@ published class centers; keeping both makes that gap visible.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
-from ._data import data_path
+from ._data import data_path, read_table
 
 
 @dataclass(frozen=True)
@@ -96,19 +95,14 @@ def load_wqs_presets(path: str | None = None) -> dict[str, WqsCoefficients]:
     directory)."""
     resolved = path if path is not None else data_path("wqs_presets.csv")
     presets: dict[str, WqsCoefficients] = {}
-    with open(resolved, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        required = ("label", "origin_d", "origin_h", "origin_j", "w_d", "w_h", "w_j")
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-            raise ValueError(f"{resolved}: preset file must have columns {','.join(required)}")
-        for row in reader:
-            label = row["label"].strip()
-            try:
-                origin = StylePoint(float(row["origin_d"]), float(row["origin_h"]), float(row["origin_j"]))
-                weights = StylePoint(float(row["w_d"]), float(row["w_h"]), float(row["w_j"]))
-            except ValueError as exc:
-                raise ValueError(f"{resolved}: bad preset row {label!r}: {exc}") from exc
-            presets[label] = WqsCoefficients(origin=origin, weights=weights, label=label)
+    columns = ("label", "origin_d", "origin_h", "origin_j", "w_d", "w_h", "w_j")
+    for line, (label, *values) in read_table(resolved, columns):
+        label = label.strip()
+        try:
+            floats = list(map(float, values))
+            presets[label] = WqsCoefficients(StylePoint(*floats[:3]), StylePoint(*floats[3:]), label)
+        except ValueError as exc:
+            raise ValueError(f"{resolved}:{line}: bad preset row {label!r}: {exc}") from exc
     return presets
 
 

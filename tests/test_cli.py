@@ -1,6 +1,9 @@
+import builtins
 import csv
 import json
+import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from lexigauge._data import data_dir
 from lexigauge.cli import main, write_report
 from lexigauge.corpus import (
+    BUNDLED_TABLES,
     REPORT_COLUMNS,
     CorpusEntry,
     Genre,
@@ -367,13 +371,25 @@ def test_verify_zero_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_detects_corruption(tmp_path, capsys):
+@pytest.fixture()
+def work(tmp_path):
+    """A copy of the bundled tables, parameters, presets and sidecar."""
     work = tmp_path / "tables"
     work.mkdir()
     for name in ("english_non_nobel.csv", "english_nobel.csv", "spanish_non_nobel.csv",
                  "spanish_nobel.csv", "language_params.csv", "wqs_presets.csv",
                  "integrity.csv"):
         shutil.copy(data_dir() / name, work / name)
+    return work
+
+
+def _edit(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+
+
+def test_verify_detects_corruption(work, capsys):
     target = work / "english_non_nobel.csv"
     text = target.read_text(encoding="utf-8")
     assert "0.515" in text
@@ -383,3 +399,100 @@ def test_verify_detects_corruption(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "E1" in out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["tables"], ["plot-data", "--figure", "wqs-plane"]])
+def test_each_reference_table_is_opened_once(monkeypatch, capsys, argv):
+    opened = Counter()
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened[Path(file).resolve()] += 1
+        return builtins_open(file, *args, **kwargs)
+
+    builtins_open = builtins.open
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(argv) == 0
+    assert [opened[(data_dir() / name).resolve()] for name, _, _ in BUNDLED_TABLES] == [1] * 4
+    assert opened[(data_dir() / "language_params.csv").resolve()] == 0  # no model curves
+
+
+def _verify_fails(work, capsys) -> list[str]:
+    capsys.readouterr()
+    assert main(["verify", "--reference-dir", str(work)]) == 1
+    return [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+
+
+def test_verify_names_a_row_missing_from_the_sidecar(work, capsys):
+    _edit(work / "integrity.csv", "english_non_nobel.csv,ET1,7ea3a3c86c\n", "")
+    assert _verify_fails(work, capsys) == [
+        "FAIL  row digests: english_non_nobel.csv row ET1: not in integrity sidecar"]
+
+
+def test_verify_names_a_sidecar_row_missing_from_its_table(work, capsys):
+    # E96 is a novel segment: no group statistic counts it
+    _edit(work / "english_non_nobel.csv",
+          "E96,IsaacAsimov.IRobot.Cap2,N,O,0.1870,0.7680,0.0050,-0.0110,0.1894,73.2634,-0.5956\n",
+          "")
+    assert _verify_fails(work, capsys) == [
+        "FAIL  row digests: english_non_nobel.csv row E96: listed in sidecar but missing from table"]
+
+
+def test_verify_skips_the_digests_without_a_sidecar_in_the_env_dir(work, monkeypatch, capsys):
+    (work / "integrity.csv").unlink()
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert "INFO  row digests: no integrity.csv sidecar; skipped" in out
+    assert out.splitlines()[-1] == "68 passed, 0 failed, 17 informational"
+
+
+@pytest.mark.parametrize("argv", [["tables"], ["verify"], ["plot-data", "--figure", "wqs-plane"]])
+@pytest.mark.parametrize("bad, message", [
+    ("EN2,1909.BS.SelmaLagerlof,X,O,0.2730,0.8250,-0.0559,0.0092,0.0186,63.3497,0.3048",
+     "row EN2: bad genre 'X'"),
+    ("EN2,1909.BS.SelmaLagerlof", "short row: 2 cells, the header has 11"),
+])
+def test_malformed_reference_row_names_its_line(work, capsys, argv, bad, message):
+    table = work / "english_nobel.csv"
+    _edit(table, "EN2,1909.BS.SelmaLagerlof,S,O,0.2730,0.8250,-0.0559,0.0092,0.0186,63.3497,0.3048",
+          bad)
+    capsys.readouterr()
+    assert main([*argv, "--reference-dir", str(work)]) == 1
+    captured = capsys.readouterr()
+    assert f"{table}:5: {message}" in captured.out + captured.err
+
+
+@pytest.mark.parametrize("name, old, new, line", [
+    ("language_params.csv", "English,3.766,", "English,x,", 2),
+    ("wqs_presets.csv", "verbatim-es,-0.02339,", "verbatim-es,y,", 3),
+])
+@pytest.mark.parametrize("command", ["analyze", "analyze-preset", "fit-out", "plot-data", "verify"])
+def test_malformed_parameter_file_names_its_line(work, synthetic_growth_corpus, monkeypatch, capsys,
+                                                  name, old, new, line, command):
+    text = str(data_dir() / "texts" / "gettysburg_address.txt")
+    _edit(work / name, old, new)
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
+    argv = {
+        "analyze": ["analyze", text, "--lang", "en"],
+        "analyze-preset": ["analyze", text, "--lang", "en", "--preset", "verbatim-en"],
+        "fit-out": ["fit", "--manifest", str(synthetic_growth_corpus), "--model", "heaps",
+                    "--out", str(work / "fitted.csv")],
+        "plot-data": ["plot-data", "--figure", "entropy"],
+        "verify": ["verify"],
+    }[command]
+    if command == "verify" and name == "language_params.csv":
+        assert main(argv) == 0  # verify reads no model parameters
+        return
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{work / name}:{line}: " in captured.out + captured.err
+
+
+def test_analyze_without_parameters_for_its_language(work, monkeypatch, capsys):
+    text = str(data_dir() / "texts" / "gettysburg_address.txt")
+    _edit(work / "language_params.csv", "Spanish,", "English,")
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
+    assert main(["analyze", text, "--lang", "es"]) == 1
+    assert capsys.readouterr().err == "error: language_params.csv has no Spanish row\n"

@@ -1,6 +1,16 @@
-import pytest
+import csv
+import io
+import re
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from loop_tables import loop_digests, loop_load_reference_table
+
+from lexigauge.cli import _verify_digests
 from lexigauge.corpus import (
+    REFERENCE_COLUMNS,
     CorpusEntry,
     Genre,
     GroupKey,
@@ -248,3 +258,86 @@ def test_reference_row_validation():
         ReferenceRow(entry=e, d=1.2, h=0.5, d_rel=0, h_rel=0, j=0, readability=1, wqs=0)
     with pytest.raises(ValueError, match="non-finite"):
         ReferenceRow(entry=e, d=0.5, h=0.5, d_rel=float("nan"), h_rel=0, j=0, readability=1, wqs=0)
+
+
+_PAD = st.sampled_from(["", " ", "  "])
+_NAME_CHARS = st.characters(blacklist_categories=("Cc", "Cs"))
+
+
+@st.composite
+def _number(draw, lo, hi):
+    x = draw(st.floats(min_value=lo, max_value=hi))
+    form = draw(st.sampled_from(["{!r}", "{:.4f}", "{:e}", "{:g}"]))
+    return draw(_PAD) + form.format(x) + draw(_PAD)
+
+
+@st.composite
+def _reference_table(draw) -> str:
+    """A well-formed reference table: shuffled (and sometimes extra) columns,
+    padded cells, names with commas and quotes, comment and blank lines."""
+    columns = draw(st.permutations(list(REFERENCE_COLUMNS) + draw(st.sampled_from([[], ["notes"]]))))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(columns) + newline]
+    for i in range(draw(st.integers(min_value=0, max_value=6))):
+        year = draw(st.sampled_from(["", "1300.", "1909.", "2100."]))
+        cells = {
+            "id": draw(_PAD) + f"R{i}" + draw(_PAD),
+            "name": draw(_PAD) + year + draw(st.text(_NAME_CHARS, max_size=10)),
+            "genre": draw(_PAD) + draw(st.sampled_from("SN")) + draw(_PAD),
+            "origin": draw(_PAD) + draw(st.sampled_from("OT")) + draw(_PAD),
+            "d": draw(_number(0.0, 1.0)),
+            "h": draw(_number(0.0, 1.0)),
+            "notes": draw(st.text(_NAME_CHARS, max_size=5)),
+        }
+        for field in ("d_rel", "h_rel", "j", "readability", "wqs"):
+            cells[field] = draw(_number(-1e3, 1e3))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=newline).writerow([cells[c] for c in columns])
+        lines.append(buf.getvalue())
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), newline)
+    extra = [f"# language: {draw(st.sampled_from(['English', 'es', 'SPANISH']))}",
+             f"# nobel: {draw(st.sampled_from(['true', 'no', '1']))}",
+             "# a comment, with a comma"]
+    for line in extra + draw(st.lists(st.just("#"), max_size=2)):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), line + newline)
+    return "".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reference_table())
+def test_reference_table_matches_the_dictreader_loader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        cells: list = []
+        assert load_reference_table(path, cells=cells) == loop_load_reference_table(path)
+        # verify's digest check accepts the sidecar the re-reading verify wrote
+        with open(Path(tmp) / "integrity.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["file", "id", "digest"])
+            writer.writerows(("t.csv", rid, digest) for rid, digest in loop_digests(path))
+        checks: list = []
+        _verify_digests(checks, Path(tmp), {"t.csv": cells})
+        assert checks == [("PASS", f"row digests: all {len(cells)} rows intact")]
+
+
+def test_reference_table_errors_name_their_line(tmp_path):
+    head = "# language: English\n# nobel: false\nid,name,genre,origin,d,h,d_rel,h_rel,j,readability,wqs\n"
+    good = "R1,x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,0.1\n"
+    path = tmp_path / "t.csv"
+    for bad, message in (
+        ("R2,x,X,O,0.5,0.9,0.1,0.0,0.0,50.0,0.1", "row R2: bad genre 'X'"),
+        ("R2,x,S,Q,0.5,0.9,0.1,0.0,0.0,50.0,0.1", "row R2: bad origin 'Q'"),
+        ("R2,1909.BS.SelmaLagerlof", "short row: 2 cells, the header has 11"),
+        ("R2,x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,oops", "row R2: non-numeric wqs='oops'"),
+        ("R2,x,S,O,0.5,0.9,0.1,0.0,0.0,inf,0.1", "row R2: non-finite readability"),
+        ("R2,0999.x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,0.1", "year 999 outside"),
+    ):
+        path.write_text(head + good + "# between\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:6: ")) as exc:
+            load_reference_table(path)
+        assert message in str(exc.value)
+    path.write_text("# nobel: maybe\n" + good, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad boolean")):
+        load_reference_table(path, language=Language.ENGLISH)

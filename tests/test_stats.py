@@ -22,6 +22,22 @@ def test_summarize_hand_values():
         summarize([])
 
 
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
+def test_summarize_matches_the_generator_form_bit_for_bit(values):
+    # the squared deviations summed in C are the same floats, added in the
+    # same order, as the generator expression they replaced
+    mean = sum(values) / len(values)
+    try:
+        std = math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+    except OverflowError:  # a square past the float range: both forms raise
+        with pytest.raises(OverflowError):
+            summarize(values)
+        return
+    s = summarize(values)
+    assert (s.mean.hex(), s.std.hex()) == (mean.hex(), std.hex())
+
+
 def test_t_test_identical_samples():
     a = [1.0, 2.0, 3.0, 4.0]
     assert t_test(a, list(a)) == pytest.approx(1.0)
