@@ -16,26 +16,29 @@ import csv
 import dataclasses
 import hashlib
 import itertools
-import json
 import math
 import sys
 from collections import Counter
+from contextlib import nullcontext
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import targets
 from ._data import data_dir, read_table
 from .corpus import (
-    REPORT_COLUMNS,
     CorpusEntry,
     Genre,
     Language,
     Origin,
+    _parse_year,
     load_bundled_tables,
     load_manifest,
     load_report,
     load_text,
+    write_report,
 )
-from .models import fit_entropy_model, fit_heaps, load_language_params
+from .models import PARAM_COLUMNS, fit_entropy_model, fit_heaps, load_language_params
 from .pipeline import AnalysisError, TextMetrics, analyze_text
 from .profile import build_profile, entropy, specific_diversity
 from .stats import linear_regression
@@ -43,49 +46,10 @@ from .tokenizer import tokenize
 from .wqs import load_wqs_presets, wqs, StylePoint
 from .zipf import fit_zipf_exponent
 
-SCHEMA = "lexigauge-report-v1"
-
-_REPORT_FLOATS = tuple(
-    c for c in REPORT_COLUMNS if c not in ("id", "name", "genre", "origin", "L", "D")
-)
-
-
-def _record_values(m: TextMetrics) -> dict:
-    """Report values in REPORT_COLUMNS order: the entry's fields, then the
-    TextMetrics attribute of the same name for every other column, floats
-    as text at the printed precision of 6 decimals."""
-    values = {
-        "id": m.entry.id,
-        "name": m.entry.name,
-        "genre": m.entry.genre.value,
-        "origin": m.entry.origin.value,
-    }
-    values.update((c, getattr(m, c)) for c in REPORT_COLUMNS if c not in values)
-    values.update((c, f"{values[c]:.6f}") for c in _REPORT_FLOATS)
-    return values
-
-
-def write_report(records: list[TextMetrics], fmt: str, stream) -> None:
-    """Serialize records as delimited text (csv) or line-delimited records
-    (jsonl). Both carry the schema version; both are deterministic."""
-    rows = [_record_values(m) for m in records]
-    if fmt == "csv":
-        stream.write(f"# schema: {SCHEMA}\n")
-        writer = csv.DictWriter(stream, REPORT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    elif fmt == "jsonl":
-        for values in rows:
-            values.update((c, float(values[c])) for c in _REPORT_FLOATS)
-            stream.write(json.dumps({"schema": SCHEMA, **values}) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-
 
 def _open_out(out: str | None):
-    if out is None:
-        return sys.stdout, False
-    return open(out, "w", encoding="utf-8", newline=""), True
+    """The stream to write to: the file out, opened (and closed on exit), or stdout."""
+    return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
 
 
 # ---------------------------------------------------------------- analyze
@@ -126,13 +90,9 @@ def cmd_analyze(args) -> int:
             records.append(analyze_text(entry, params, zipf_g=args.zipf_g))
         except AnalysisError as exc:
             failed[type(exc.cause).__name__] += 1
-            print(f"error: {exc.cause}", file=sys.stderr)
-    stream, close = _open_out(args.out)
-    try:
+            print(f"error: {path}: {exc.cause}", file=sys.stderr)
+    with _open_out(args.out) as stream:
         write_report(records, args.format, stream)
-    finally:
-        if close:
-            stream.close()
     causes = ", ".join(f"{n} {cause}" for cause, n in sorted(failed.items()))
     print(f"analyzed {len(records)}, failed {failed.total()}" + (f" ({causes})" if failed else ""),
           file=sys.stderr)
@@ -197,7 +157,6 @@ def cmd_fit(args) -> int:
             fitted[language] = {"entropy_exponent": e}
             lines.append(f"{language.value}: exponent={e:.6g} sse={sse:.6g} n={len(points)}")
     else:  # zipf: a per-text exponent, reported text by text
-        rows = []
         for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
             gs = []
             for entry, _, p in group:
@@ -206,7 +165,6 @@ def cmd_fit(args) -> int:
                     continue
                 g = fit_zipf_exponent(p)
                 gs.append(g)
-                rows.append((entry.id, language, g))
                 lines.append(f"{entry.id}: g={g:.6g}")
             if gs:
                 fitted[language] = {"zipf_g_mean": sum(gs) / len(gs)}
@@ -226,23 +184,11 @@ def cmd_fit(args) -> int:
             return 1
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["language", "heaps_c", "heaps_beta", "entropy_exponent", "c_sy"])
+            writer.writerow(PARAM_COLUMNS)
             for language, params in sorted(defaults.items(), key=lambda kv: kv[0].value):
-                merged = {
-                    "heaps_c": params.heaps_c,
-                    "heaps_beta": params.heaps_beta,
-                    "entropy_exponent": params.entropy_exponent,
-                }
-                merged.update(fitted.get(language, {}))
-                writer.writerow(
-                    [
-                        language.value,
-                        f"{merged['heaps_c']:.10g}",
-                        f"{merged['heaps_beta']:.10g}",
-                        f"{merged['entropy_exponent']:.10g}",
-                        f"{params.c_sy:.10g}",
-                    ]
-                )
+                fit = fitted.get(language, {})
+                writer.writerow([language.value, *(f"{fit.get(c, getattr(params, c)):.10g}"
+                                                   for c in PARAM_COLUMNS[1:])])
         print(f"wrote {args.out}")
     return 0
 
@@ -290,7 +236,30 @@ def cmd_tables(args) -> int:
 # -------------------------------------------------------------- plot-data
 
 
-FIGURES = ("diversity", "entropy", "zipf", "wqs-plane", "trend")
+class _Figure(NamedTuple):
+    """A plot-data figure: its columns after `series`, its axis labels (x, y,
+    then the extras), the report columns and the table attributes its points
+    come from (None: the figure needs --report), and the model curve
+    y = curve(language params, x) drawn over the points' x range, if any."""
+    header: tuple[str, ...]
+    axes: tuple[str, ...]
+    report_columns: tuple[str, ...]
+    table_fields: tuple[str, ...] | None
+    curve: Callable[..., float] | None = None
+
+
+_FIGURES = {
+    "diversity": _Figure(("L", "D"), ("L (symbols)", "D (distinct symbols)"), ("L", "D"), None,
+                         lambda p, L: p.heaps_c * L**p.heaps_beta),
+    "entropy": _Figure(("d", "h"), ("d (specific diversity)", "h (normalized entropy)"),
+                       ("d", "h"), ("d", "h"), lambda p, d: d**p.entropy_exponent),
+    "zipf": _Figure(("L", "j"), ("L (symbols)", "j (frequency-profile deviation)"),
+                    ("L", "j"), None),
+    "wqs-plane": _Figure(("d_rel", "h_rel", "j", "wqs"), ("d_rel", "h_rel", "j, wqs"),
+                         ("d_rel", "h_rel", "j", "wqs_verbatim"), ("d_rel", "h_rel", "j", "wqs")),
+    "trend": _Figure(("year", "S"), ("year", "S (words per phrase)"), ("name", "S"), None),
+}
+FIGURES = tuple(_FIGURES)
 
 
 def _log_spaced(lo: float, hi: float, n: int = 100) -> list[float]:
@@ -303,109 +272,56 @@ def _log_spaced(lo: float, hi: float, n: int = 100) -> list[float]:
 _GROUP_LABELS = {(key.language, key.nobel): label for label, key in targets.GROUPS.items()}
 
 
-def _group_label(entry) -> str:
-    return _GROUP_LABELS[entry.language, entry.nobel]
+def _trend(points: list[tuple], comments: list[str]) -> list[tuple]:
+    """The (year, S) points of the rows whose name starts with a year, and
+    their regression line."""
+    dated = [("data", year, s) for _, name, s in points if (year := _parse_year(name)) is not None]
+    years = sorted({year for _, year, _ in dated})
+    if len(years) < 2:
+        print("warning: no dated rows; emitting empty point set", file=sys.stderr)
+        return dated
+    fit = linear_regression([float(y) for _, y, _ in dated], [s for _, _, s in dated])
+    comments.append(f"# fit: slope={fit.slope:.6g} per year, intercept={fit.intercept:.6g}")
+    xs = (years[0] + (years[-1] - years[0]) * i / 99 for i in range(100))
+    return dated + [("fit", x, fit.slope * x + fit.intercept) for x in xs]
 
 
 def cmd_plotdata(args) -> int:
-    figure = args.figure
-    need_report = figure in ("diversity", "zipf", "trend")
-    if need_report and not args.report:
-        print(f"error: figure {figure!r} needs per-text counts; pass --report", file=sys.stderr)
+    figure = _FIGURES[args.figure]
+    if figure.table_fields is None and not args.report:
+        print(f"error: figure {args.figure!r} needs per-text counts; pass --report",
+              file=sys.stderr)
         return 1
-
-    rows_out: list[tuple] = []
-    header: list[str] = []
-    comments: list[str] = [f"# figure: {figure}"]
-
     try:
         if args.report:
-            records = load_report(args.report)
+            get = itemgetter(*figure.report_columns)
+            rows = [("data", *get(r)) for r in load_report(args.report)]
         else:
-            fixture_rows = load_bundled_tables(args.reference_dir)
-        if figure in ("entropy", "diversity"):  # the figures with model curves
-            params = load_language_params()
+            get = attrgetter(*figure.table_fields)
+            rows = [(_GROUP_LABELS[r.entry.language, r.entry.nobel], *get(r))
+                    for r in load_bundled_tables(args.reference_dir)]
+        params = load_language_params() if figure.curve else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if figure == "entropy":
-        header = ["series", "d", "h"]
-        comments += ["# x: d (specific diversity)", "# y: h (normalized entropy)"]
-        if args.report:
-            points = [("data", r["d"], r["h"]) for r in records]
-        else:
-            points = [(_group_label(r.entry), r.d, r.h) for r in fixture_rows]
-        rows_out += points
-        ds = [p[1] for p in points if p[1] > 0]
-        if ds:
-            for language, p in sorted(params.items(), key=lambda kv: kv[0].value):
-                curve = f"curve-{language.code.lower()}"
-                for d in _log_spaced(min(ds), max(ds)):
-                    rows_out.append((curve, d, d**p.entropy_exponent))
-    elif figure == "wqs-plane":
-        header = ["series", "d_rel", "h_rel", "j", "wqs"]
-        comments += ["# x: d_rel", "# y: h_rel", "# extras: j, wqs"]
-        if args.report:
-            rows_out += [
-                ("data", r["d_rel"], r["h_rel"], r["j"], r["wqs_verbatim"]) for r in records
-            ]
-        else:
-            rows_out += [
-                (_group_label(r.entry), r.d_rel, r.h_rel, r.j, r.wqs) for r in fixture_rows
-            ]
-    elif figure == "diversity":
-        header = ["series", "L", "D"]
-        comments += ["# x: L (symbols)", "# y: D (distinct symbols)"]
-        rows_out += [("data", r["L"], r["D"]) for r in records]
-        Ls = [r["L"] for r in records if r["L"] > 0]
-        if Ls:
-            for language, p in sorted(params.items(), key=lambda kv: kv[0].value):
-                curve = f"curve-{language.code.lower()}"
-                for L in _log_spaced(min(Ls), max(Ls)):
-                    rows_out.append((curve, L, p.heaps_c * L**p.heaps_beta))
-    elif figure == "zipf":
-        header = ["series", "L", "j"]
-        comments += ["# x: L (symbols)", "# y: j (frequency-profile deviation)"]
-        rows_out += [("data", r["L"], r["j"]) for r in records]
-    else:  # trend
-        header = ["series", "year", "S"]
-        comments += ["# x: year", "# y: S (words per phrase)"]
-        from .corpus import _parse_year
-
-        dated = [
-            (year, r["S"])
-            for r in records
-            if (year := _parse_year(r["name"])) is not None
-        ]
-        rows_out += [("data", year, s) for year, s in dated]
-        if len(dated) >= 2 and len({y for y, _ in dated}) >= 2:
-            fit = linear_regression([float(y) for y, _ in dated], [s for _, s in dated])
-            years = sorted({y for y, _ in dated})
-            lo, hi = years[0], years[-1]
-            for i in range(100):
-                x = lo + (hi - lo) * i / 99
-                rows_out.append(("fit", x, fit.slope * x + fit.intercept))
-            comments.append(f"# fit: slope={fit.slope:.6g} per year, intercept={fit.intercept:.6g}")
-        else:
-            print("warning: no dated rows; emitting empty point set", file=sys.stderr)
-
-    series = sorted({r[0] for r in rows_out})
+    comments = [f"# figure: {args.figure}"]
+    comments += [f"# {axis}: {label}" for axis, label in zip(("x", "y", "extras"), figure.axes)]
+    if args.figure == "trend":
+        rows = _trend(rows, comments)
+    if figure.curve and (xs := [row[1] for row in rows if row[1] > 0]):
+        for language, p in sorted(params.items(), key=lambda kv: kv[0].value):
+            curve = f"curve-{language.code.lower()}"
+            rows += [(curve, x, figure.curve(p, x)) for x in _log_spaced(min(xs), max(xs))]
+    series = sorted({r[0] for r in rows})
     comments.append(f"# series: {', '.join(series) if series else '(none)'}")
 
-    stream, close = _open_out(args.out)
-    try:
-        for line in comments:
-            stream.write(line + "\n")
+    with _open_out(args.out) as stream:
+        stream.writelines(line + "\n" for line in comments)
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows_out:
-            writer.writerow(
-                [row[0]] + [f"{v:.6f}" if isinstance(v, float) else v for v in row[1:]]
-            )
-    finally:
-        if close:
-            stream.close()
+        writer.writerow(["series", *figure.header])
+        writer.writerows([row[0]] + [f"{v:.6f}" if isinstance(v, float) else v for v in row[1:]]
+                         for row in rows)
     return 0
 
 

@@ -7,13 +7,18 @@ any other `#` line is a free-form comment.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ._data import data_dir, read_table
+
+if TYPE_CHECKING:  # pipeline imports this module
+    from .pipeline import TextMetrics
 
 _YEAR_PREFIX = re.compile(r"^(\d{4})\.")
 
@@ -110,11 +115,12 @@ MANIFEST_COLUMNS = ("id", "name", "genre", "origin", "language", "nobel", "year"
 
 def _read_csv(path: str | Path) -> tuple[csv.DictReader, int]:
     """A reader over a CSV file after its leading `#` comment lines, and the
-    number of those lines: a row ends on physical line comments + line_num."""
+    number of those lines: a row ends on physical line comments + line_num.
+    A short row's missing cells read as empty."""
     with open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
     comments = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
-    return csv.DictReader(lines[comments:]), comments
+    return csv.DictReader(lines[comments:], restval=""), comments
 
 
 def load_manifest(path: str | Path) -> list[CorpusEntry]:
@@ -277,6 +283,8 @@ def load_text(entry: CorpusEntry) -> str:
     return path.read_text(encoding="utf-8")
 
 
+SCHEMA = "lexigauge-report-v1"
+
 REPORT_COLUMNS = (
     "id", "name", "genre", "origin", "L", "D", "d", "h", "g", "j",
     "d_rel", "h_rel", "W", "S", "readability", "wqs_verbatim", "wqs_reconstructed",
@@ -284,10 +292,43 @@ REPORT_COLUMNS = (
 
 # how load_report types each column; every column not listed is a float
 _REPORT_TYPES = {"id": str, "name": str, "genre": str, "origin": str, "L": int, "D": int}
+_REPORT_FLOATS = tuple(c for c in REPORT_COLUMNS if c not in _REPORT_TYPES)
+
+
+def _record_values(m: TextMetrics) -> dict:
+    """Report values in REPORT_COLUMNS order: the entry's fields, then the
+    TextMetrics attribute of the same name for every other column, floats
+    as text at the printed precision of 6 decimals."""
+    values = {
+        "id": m.entry.id,
+        "name": m.entry.name,
+        "genre": m.entry.genre.value,
+        "origin": m.entry.origin.value,
+    }
+    values.update((c, getattr(m, c)) for c in REPORT_COLUMNS if c not in values)
+    values.update((c, f"{values[c]:.6f}") for c in _REPORT_FLOATS)
+    return values
+
+
+def write_report(records: list[TextMetrics], fmt: str, stream) -> None:
+    """Serialize records as delimited text (csv) or line-delimited records
+    (jsonl). Both carry the schema version; both are deterministic."""
+    rows = [_record_values(m) for m in records]
+    if fmt == "csv":
+        stream.write(f"# schema: {SCHEMA}\n")
+        writer = csv.DictWriter(stream, REPORT_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    elif fmt == "jsonl":
+        for values in rows:
+            values.update((c, float(values[c])) for c in _REPORT_FLOATS)
+            stream.write(json.dumps({"schema": SCHEMA, **values}) + "\n")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def load_report(path: str | Path) -> list[dict]:
-    """Parse an analysis report written by the command-line tool back into
+    """Parse an analysis report written by write_report back into
     typed records (ints for counts, floats for metrics). `#` lines before the
     header are comments. A malformed row raises ValueError naming its line."""
     records: list[dict] = []
@@ -302,7 +343,7 @@ def load_report(path: str | Path) -> list[dict]:
         try:
             for col in REPORT_COLUMNS:
                 rec[col] = _REPORT_TYPES.get(col, float)(row[col])
-        except (TypeError, ValueError) as exc:  # TypeError: a short row's missing cell
+        except ValueError as exc:
             raise ValueError(f"{path}:{comments + reader.line_num}: malformed report row "
                              f"({col}): {exc}") from exc
         records.append(rec)

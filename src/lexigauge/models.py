@@ -20,6 +20,9 @@ from .corpus import Language
 from .stats import linear_regression
 from .wqs import WqsCoefficients, load_wqs_presets
 
+# the columns of a parameter file, in order
+PARAM_COLUMNS = ("language", "heaps_c", "heaps_beta", "entropy_exponent", "c_sy")
+
 
 @dataclass(frozen=True)
 class LanguageParams:
@@ -183,8 +186,7 @@ def load_language_params(
     resolved = path if path is not None else data_path("language_params.csv")
     presets = load_wqs_presets(presets_path)
     out: dict[Language, LanguageParams] = {}
-    columns = ("language", "heaps_c", "heaps_beta", "entropy_exponent", "c_sy")
-    for line, (language, *values) in read_table(resolved, columns):
+    for line, (language, *values) in read_table(resolved, PARAM_COLUMNS):
         try:
             language = Language.parse(language)
             code = language.code.lower()

@@ -36,7 +36,7 @@ class StylePoint:
         return StylePoint(self.d_rel - other.d_rel, self.h_rel - other.h_rel, self.j - other.j)
 
     def norm(self) -> float:
-        return math.sqrt(self.d_rel ** 2 + self.h_rel ** 2 + self.j ** 2)
+        return math.hypot(self.d_rel, self.h_rel, self.j)
 
 
 @dataclass(frozen=True)

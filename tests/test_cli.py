@@ -104,8 +104,12 @@ def test_analyze_ends_with_a_summary_by_cause(sample_texts, tmp_path, capsys):
     bad.write_bytes(b"caf\xe9 au lait")
     paths = [a, tmp_path / "missing.txt", empty, b, tmp_path / "gone.txt", bad]
     assert main(["analyze", *map(str, paths), "--lang", "en", "--out", str(tmp_path / "r.csv")]) == 0
-    assert capsys.readouterr().err.splitlines()[-1] == (
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (
         "analyzed 2, failed 4 (2 FileNotFoundError, 1 UnicodeDecodeError, 1 ValueError)")
+    # every error line names the file it is about
+    assert [line.split(": ")[1] for line in err[:-1]] == [
+        str(p) for p in (tmp_path / "missing.txt", empty, tmp_path / "gone.txt", bad)]
     assert main(["analyze", str(a), "--lang", "en", "--out", str(tmp_path / "r2.csv")]) == 0
     assert capsys.readouterr().err == "analyzed 1, failed 0\n"
 
@@ -145,6 +149,27 @@ def test_report_keeps_rows_whose_id_starts_with_hash(tmp_path):
     with open(out, "w", encoding="utf-8", newline="") as fh:
         write_report(records, "csv", fh)
     assert [r["id"] for r in load_report(out)] == ["E1", "#7"]
+
+
+def test_cli_keeps_the_names_the_benchmark_uses(monkeypatch, capsys):
+    # The benchmark calls and times these through lexigauge.cli; a name that
+    # moves away, or a command that stops looking it up there, silently zeroes
+    # a traced metric.
+    import lexigauge.cli as cli
+    names = ("analyze_text", "load_language_params", "load_manifest", "load_bundled_tables",
+             "load_wqs_presets", "write_report", "fit_heaps", "fit_entropy_model",
+             "linear_regression", "main", "cmd_analyze", "cmd_fit", "cmd_tables",
+             "cmd_plotdata", "cmd_verify")
+    assert [n for n in names if not callable(getattr(cli, n, None))] == []
+    calls = Counter()
+    for name in ("analyze_text", "write_report"):
+        def counted(*args, _name=name, _wrapped=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _wrapped(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["analyze", str(data_dir() / "texts" / "gettysburg_address.txt"),
+                 "--lang", "en"]) == 0
+    assert calls == {"analyze_text": 1, "write_report": 1}
 
 
 def test_usage_errors_exit_2():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from loop_tables import loop_digests, loop_load_reference_table
 
-from lexigauge.cli import _verify_digests
+from lexigauge.cli import _verify_digests, main
 from lexigauge.corpus import (
     REFERENCE_COLUMNS,
     CorpusEntry,
@@ -129,6 +129,16 @@ def test_manifest_malformed_row_names_its_line_after_comments(tmp_path):
     )
     with pytest.raises(ValueError, match=r"m\.csv:5: malformed"):
         load_manifest(path)
+
+
+def test_manifest_short_row_names_its_line(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("id,name,genre,origin,language,nobel,year,source_path\nA,x\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"m\.csv:2: malformed manifest row"):
+        load_manifest(path)
+    assert main(["fit", "--manifest", str(path), "--model", "heaps"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: malformed manifest row")
 
 
 def test_manifest_missing_columns(tmp_path):

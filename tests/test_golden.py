@@ -2,8 +2,10 @@
 
 The digests of `verify`, `tables`, `plot-data --figure wqs-plane` and
 `analyze` on the bundled Gettysburg text are the ones the benchmark checks
-(bench/expected.json); they are read from there, not copied. A refactor of
-the statistics or the report code must leave every one of them unchanged."""
+(bench/expected.json); they are read from there, not copied. The digests of
+the other figures and of `fit` belong to no benchmark and are written here. A
+refactor of the statistics or the report code must leave every one of them
+unchanged."""
 import hashlib
 import json
 import os
@@ -83,3 +85,84 @@ def test_analyze_is_independent_of_the_hash_seed(tmp_path, fmt, lang):
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     assert b"gettysburg_address" in outputs[0] and b"spanish" in outputs[0]
+
+
+# Golden outputs of the figure and fit paths on a small corpus built from the
+# bundled Gettysburg text: year-prefixed copies cut to five lengths, the
+# three shortest also filed as Spanish.
+CUTS = {"1863.gettysburg": None, "1880.gettysburg": 1200, "1900.gettysburg": 900,
+        "1920.gettysburg": 600, "1950.gettysburg": 300}
+SPANISH_CUTS = ("1900.gettysburg", "1920.gettysburg", "1950.gettysburg")
+
+
+@pytest.fixture()
+def gettysburg_corpus(tmp_path, capsys):
+    full = (REPO / GETTYSBURG).read_text(encoding="utf-8")
+    paths = {}
+    for name, cut in CUTS.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(full[:cut], encoding="utf-8")
+    report = tmp_path / "report.csv"
+    assert main(["analyze", *map(str, paths.values()), "--lang", "en", "--out", str(report)]) == 0
+    manifest = tmp_path / "manifest.csv"
+    rows = ["id,name,genre,origin,language,nobel,year,source_path"]
+    rows += [f"E{i},{name},S,O,EN,false,,{path}" for i, (name, path) in enumerate(paths.items())]
+    rows += [f"S{i},{name},S,T,ES,false,,{paths[name]}" for i, name in enumerate(SPANISH_CUTS)]
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    return report, manifest
+
+
+FIGURE_SHA256 = {
+    "diversity": "9057930684bd3d714fb039c77b1d79d7cfff7f6e805dadb8932f9723d627e2c5",
+    "entropy": "092351a1ad5bdb53d48edc13ecef2079487e673134a15b142375d2d28c22783a",
+    "trend": "325ccb76a27bea44ea287fb63fce57afc54db04ad93f94d568708bd9bce87e39",
+    "wqs-plane": "288129b3896c4cc2f39c9045cd934d899bff08088a4c208b8a92a7e7ed4b1f3c",
+    "zipf": "8b89c5dd7f9613ee19281441bae72d6a8ffad041f7094437a0d09e34aa9f1b0f",
+}
+
+FIT_SHA256 = {
+    "heaps": "23285c6d4328c45ebc704fa878f86a3510f77addc187717a792c23d1ce54e250",
+    "entropy": "6e93109d72fee98e9aa0367571bf609bbd0020ae96375a2068c43f30abf3d0c0",
+    "zipf": "f7e98a0e84642033de2953eb39e24dc30110358c963f28eace740ba8fc8acde7",
+}
+
+# the parameter file `fit --model M --out` writes: the bundled parameters with
+# M's fitted values in place
+PARAMS_SHA256 = {
+    "heaps": "2a008c747243ba68ce475a34835a6c9f73ff644c02e9a93ade8fe478682ef66d",
+    "entropy": "e57c3a92baaab87e4af0193dbb538bd5e2370e7b158ff9a52a4dd2628d70167f",
+}
+
+
+def test_plot_data_entropy_from_the_tables(capsys):
+    code, out = _run(capsys, "plot-data --figure entropy")
+    assert code == 0
+    assert _sha256(out) == "57df508738c7a93ab95def34bf112b3ad91e006bfd083fc33f606b8bf34ea398", out
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_SHA256))
+def test_plot_data_from_a_report(gettysburg_corpus, capsys, figure):
+    report, _ = gettysburg_corpus
+    code, out = _run(capsys, f"plot-data --figure {figure} --report {report}")
+    assert code == 0
+    assert _sha256(out) == FIGURE_SHA256[figure], out
+
+
+@pytest.mark.parametrize("model", sorted(FIT_SHA256))
+def test_fit_output(gettysburg_corpus, capsys, model):
+    _, manifest = gettysburg_corpus
+    code, out = _run(capsys, f"fit --manifest {manifest} --model {model}")
+    assert code == 0
+    assert _sha256(out) == FIT_SHA256[model], out
+
+
+@pytest.mark.parametrize("model", sorted(PARAMS_SHA256))
+def test_fit_parameter_file(gettysburg_corpus, capsys, tmp_path, model):
+    _, manifest = gettysburg_corpus
+    params = tmp_path / "params.csv"
+    code, out = _run(capsys, f"fit --manifest {manifest} --model {model} --out {params}")
+    assert code == 0
+    assert out.endswith(f"\nwrote {params}\n")
+    assert _sha256(out.removesuffix(f"wrote {params}\n")) == FIT_SHA256[model], out
+    assert _sha256(params.read_text(encoding="utf-8")) == PARAMS_SHA256[model]

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lexigauge.corpus import GroupKey, Language, load_bundled_tables, select_group
 from lexigauge.wqs import (
@@ -204,6 +204,7 @@ def test_scale_sign_pattern(p, step):
 
 
 @given(points, points)
+@example(StylePoint(0.0, 0.0, 0.0), StylePoint(0.0, 0.0, 1.6221562053550396e-158))
 def test_direction_vector_is_unit(a, b):
     diff = b - a
     if diff.norm() == 0:
