@@ -110,7 +110,8 @@ def _manifest_profiles(manifest_path: str):
         try:
             text = load_text(entry)
         except (OSError, ValueError) as exc:
-            print(f"error: {entry.id}: {exc}", file=sys.stderr)
+            where = f"{entry.id}: {entry.source_path}" if entry.source_path else entry.id
+            print(f"error: {where}: {exc}", file=sys.stderr)
             continue
         t = tokenize(text, language=entry.language)
         out.append((entry, t, build_profile(t)))
@@ -278,7 +279,8 @@ def _trend(points: list[tuple], comments: list[str]) -> list[tuple]:
     dated = [("data", year, s) for _, name, s in points if (year := _parse_year(name)) is not None]
     years = sorted({year for _, year, _ in dated})
     if len(years) < 2:
-        print("warning: no dated rows; emitting empty point set", file=sys.stderr)
+        print(f"warning: dated rows span one year ({years[0]}); emitting them without a fit line"
+              if years else "warning: no dated rows; emitting empty point set", file=sys.stderr)
         return dated
     fit = linear_regression([float(y) for _, y, _ in dated], [s for _, _, s in dated])
     comments.append(f"# fit: slope={fit.slope:.6g} per year, intercept={fit.intercept:.6g}")

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from ._data import data_dir, read_table
 
@@ -50,7 +50,7 @@ class Origin(Enum):
     TRANSLATION = "T"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CorpusEntry:
     id: str
     name: str
@@ -66,7 +66,7 @@ class CorpusEntry:
             raise ValueError(f"entry {self.id}: year {self.year} outside 1300..2100")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReferenceRow:
     """One row of a bundled metric table: recorded per-text results used as
     ground truth by the statistics commands."""
@@ -205,28 +205,34 @@ def load_reference_table(
         raise ValueError(f"{path}: missing language/nobel directives and no override given")
     for line, (raw_id, name, genre, origin, *numeric) in records:
         try:
-            rid, name = raw_id.strip(), name.strip()
-            genre_m, origin_m = _GENRES.get(genre.strip()), _ORIGINS.get(origin.strip())
-            if genre_m is None:
-                raise ValueError(f"row {rid}: bad genre {genre!r} (expected S or N)")
-            if origin_m is None:
-                raise ValueError(f"row {rid}: bad origin {origin!r} (expected O or T)")
-            try:
-                values = list(map(float, numeric))
-            except ValueError:  # name the first cell that is not a number
-                for field, cell in zip(METRIC_FIELDS, numeric):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ValueError(f"row {rid}: non-numeric {field}={cell!r}") from None
-            entry = CorpusEntry(id=rid, name=name, genre=genre_m, language=language,
-                                origin=origin_m, nobel=nobel, year=_parse_year(name))
-            rows.append(ReferenceRow(entry, *values))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line}: {exc}") from exc
+            name = name.strip()
+            entry = CorpusEntry(raw_id.strip(), name, _GENRES[genre.strip()], language,
+                                _ORIGINS[origin.strip()], nobel, _parse_year(name))
+            rows.append(ReferenceRow(entry, *map(float, numeric)))
+        except (KeyError, ValueError) as exc:
+            _raise_row_error(f"{path}:{line}", raw_id.strip(), genre, origin, numeric, exc)
         if cells is not None:
             cells.append((raw_id, numeric))
     return rows
+
+
+def _raise_row_error(where: str, rid: str, genre: str, origin: str, numeric: list[str],
+                     exc: Exception) -> NoReturn:
+    """Raise the first fault of a row that failed to load: a bad genre or origin,
+    a non-numeric cell, else exc (a failed CorpusEntry/ReferenceRow check)."""
+    cause = str(exc)
+    if genre.strip() not in _GENRES:
+        cause = f"row {rid}: bad genre {genre!r} (expected S or N)"
+    elif origin.strip() not in _ORIGINS:
+        cause = f"row {rid}: bad origin {origin!r} (expected O or T)"
+    else:
+        for field, cell in zip(METRIC_FIELDS, numeric):
+            try:
+                float(cell)
+            except ValueError:
+                cause = f"row {rid}: non-numeric {field}={cell!r}"
+                break
+    raise ValueError(f"{where}: {cause}") from exc
 
 
 BUNDLED_TABLES = (
@@ -259,27 +265,19 @@ def load_bundled_tables(
 def select_group(rows: list[ReferenceRow], key: GroupKey) -> list[ReferenceRow]:
     """Statistical group membership: speeches only; laureate groups keep
     original-language texts only, non-laureate groups keep translations too."""
-    out = []
-    for row in rows:
-        e = row.entry
-        if e.language is not key.language or e.nobel is not key.nobel:
-            continue
-        if e.genre is not Genre.SPEECH:
-            continue
-        if key.nobel and e.origin is not Origin.ORIGINAL:
-            continue
-        out.append(row)
-    return out
+    return [row for row in rows if (e := row.entry).language is key.language
+            and e.nobel is key.nobel and e.genre is Genre.SPEECH
+            and (not key.nobel or e.origin is Origin.ORIGINAL)]
 
 
 def load_text(entry: CorpusEntry) -> str:
     """Raw UTF-8 text for an entry. Missing-path, missing-file, and bad-bytes
-    problems raise distinct error types."""
+    problems raise distinct error types; the callers name the entry and path."""
     if not entry.source_path:
-        raise ValueError(f"entry {entry.id}: no source text")
+        raise ValueError("no source text")
     path = Path(entry.source_path)
     if not path.is_file():
-        raise FileNotFoundError(f"entry {entry.id}: source text {path} not found")
+        raise FileNotFoundError("source text not found")
     return path.read_text(encoding="utf-8")
 
 

@@ -12,6 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul
 
 # Marks counted as symbols in their own right. Everything else that is not a
 # word character simply separates words.
@@ -91,11 +92,11 @@ def tokenize(raw: str, language=None) -> TokenizedText:
     # words at non-alphanumeric lower cases ("İ" folds to "i" + U+0307).
     counts = Counter(map(str.lower, _SYMBOL.findall(text)))
     L = sum(counts.values())
+    L_w = L - sum(counts[m] for m in PUNCTUATION)
     return TokenizedText(
-        counts=counts, L=L, L_w=L - sum(counts[m] for m in PUNCTUATION),
-        L_ph=sum(counts[m] for m in PHRASE_TERMINATORS),
-        L_CH=sum(len(s) * c for s, c in counts.items() if s not in PUNCTUATION),
-        normalized=text)
+        counts=counts, L=L, L_w=L_w, L_ph=sum(counts[m] for m in PHRASE_TERMINATORS),
+        # each of the L - L_w punctuation marks is one character long
+        L_CH=sum(map(mul, map(len, counts), counts.values())) - (L - L_w), normalized=text)
 
 
 def count_phrases(t: TokenizedText) -> int:

@@ -107,9 +107,11 @@ def test_analyze_ends_with_a_summary_by_cause(sample_texts, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == (
         "analyzed 2, failed 4 (2 FileNotFoundError, 1 UnicodeDecodeError, 1 ValueError)")
-    # every error line names the file it is about
-    assert [line.split(": ")[1] for line in err[:-1]] == [
-        str(p) for p in (tmp_path / "missing.txt", empty, tmp_path / "gone.txt", bad)]
+    # every error line names the file it is about, once
+    failed = (tmp_path / "missing.txt", empty, tmp_path / "gone.txt", bad)
+    assert [line.split(": ")[1] for line in err[:-1]] == [str(p) for p in failed]
+    assert all(line.count(str(p)) == 1 for line, p in zip(err, failed))
+    assert err[0] == f"error: {tmp_path / 'missing.txt'}: source text not found"
     assert main(["analyze", str(a), "--lang", "en", "--out", str(tmp_path / "r2.csv")]) == 0
     assert capsys.readouterr().err == "analyzed 1, failed 0\n"
 
@@ -250,6 +252,18 @@ def test_fit_skips_unloadable_texts(synthetic_growth_corpus, tmp_path, capsys):
     assert len(errors) == 2
     assert errors[0].startswith("error: T8: ") and "not found" in errors[0]
     assert errors[1].startswith("error: T9: ") and "utf-8" in errors[1]
+    # each line names the id and the path once, the path right after the id
+    for line, (rid, path) in zip(errors, (("T8", tmp_path / "missing.txt"), ("T9", bad))):
+        assert line.startswith(f"error: {rid}: {path}: ")
+        assert line.count(rid) == 1 and line.count(str(path)) == 1
+    assert errors[0] == f"error: T8: {tmp_path / 'missing.txt'}: source text not found"
+
+
+def test_fit_names_a_text_without_a_path_by_its_id(synthetic_growth_corpus, capsys):
+    with open(synthetic_growth_corpus, "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["T8", "no path", "S", "O", "EN", "false", "", ""])
+    assert main(["fit", "--manifest", str(synthetic_growth_corpus), "--model", "heaps"]) == 0
+    assert capsys.readouterr().err == "error: T8: no source text\n"
 
 
 def test_fit_entropy_skips_a_text_without_symbols(tmp_path, capsys):
@@ -379,8 +393,21 @@ def test_plot_data_trend(tmp_path, capsys):
     out2 = tmp_path / "trend2.csv"
     assert main(["plot-data", "--figure", "trend", "--report", str(report2),
                  "--out", str(out2)]) == 0
-    assert "warning" in capsys.readouterr().err
+    assert capsys.readouterr().err == "warning: no dated rows; emitting empty point set\n"
     assert not any(l.startswith("data,") for l in read_lines(out2))
+
+    # one dated and one undated text: the dated row is emitted, without a fit line
+    report3 = tmp_path / "r3.csv"
+    main(["analyze", str(dated), str(undated), "--lang", "en", "--out", str(report3)])
+    capsys.readouterr()
+    out3 = tmp_path / "trend3.csv"
+    assert main(["plot-data", "--figure", "trend", "--report", str(report3),
+                 "--out", str(out3)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: dated rows span one year (1900); emitting them without a fit line\n")
+    lines = read_lines(out3)
+    assert sum(1 for l in lines if l.startswith("data,")) == 1
+    assert not any(l.startswith("fit,") for l in lines)
 
 
 def test_verify_passes_on_bundled_tables(capsys):

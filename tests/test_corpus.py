@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from loop_tables import loop_digests, loop_load_reference_table
 
 from lexigauge.cli import _verify_digests, main
+from lexigauge._data import data_dir
 from lexigauge.corpus import (
+    BUNDLED_TABLES,
     REFERENCE_COLUMNS,
     CorpusEntry,
     Genre,
@@ -332,6 +334,14 @@ def test_reference_table_matches_the_dictreader_loader(text):
         assert checks == [("PASS", f"row digests: all {len(cells)} rows intact")]
 
 
+def test_bundled_tables_match_the_dictreader_loader(rows):
+    expected = [row for name, _, _ in BUNDLED_TABLES
+                for row in loop_load_reference_table(data_dir() / name)]
+    assert len(expected) == len(rows) == 314
+    for got, want in zip(rows, expected):
+        assert got == want
+
+
 def test_reference_table_errors_name_their_line(tmp_path):
     head = "# language: English\n# nobel: false\nid,name,genre,origin,d,h,d_rel,h_rel,j,readability,wqs\n"
     good = "R1,x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,0.1\n"
@@ -343,6 +353,10 @@ def test_reference_table_errors_name_their_line(tmp_path):
         ("R2,x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,oops", "row R2: non-numeric wqs='oops'"),
         ("R2,x,S,O,0.5,0.9,0.1,0.0,0.0,inf,0.1", "row R2: non-finite readability"),
         ("R2,0999.x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,0.1", "year 999 outside"),
+        # a row with two faults names the first one the checks meet
+        ("R2,x,X,O,0.5,0.9,0.1,0.0,0.0,50.0,oops", "row R2: bad genre 'X'"),
+        ("R2,0999.x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,oops", "row R2: non-numeric wqs='oops'"),
+        ("R2,0999.x,S,O,0.5,0.9,0.1,0.0,0.0,inf,0.1", "year 999 outside"),
     ):
         path.write_text(head + good + "# between\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:6: ")) as exc:
