@@ -30,9 +30,10 @@ print(f"W={inputs.W:.4f} syllables/word, S={inputs.S:.4f} words/phrase")
 print(f"english reading ease: {res(inputs):.2f}")
 print(f"spanish perspicuity:  {ipsz(inputs):.2f}")
 
-# score() dispatches on the params' language; a formula override is allowed.
+# score() dispatches on the params' language; to cross-apply a formula,
+# call it directly.
 print(f"score() picks: {score(inputs, en):.2f}")
-print(f"forced ipsz:   {score(inputs, en, formula='ipsz'):.2f}")
+print(f"forced ipsz:   {ipsz(inputs):.2f}")
 
 # The two formulas differ only in how hard long phrases are penalized:
 # ipsz - res = 0.015 * S, always.

@@ -31,11 +31,8 @@ def data_path(name: str) -> Path:
     return path
 
 
-def read_table(
-    path: str | Path, columns: tuple[str, ...], comments: list[tuple[int, str]] | None = None,
-) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """Read a CSV file in which every line starting with `#` is a comment
-    (appended to comments as (line, text) before this returns, if given).
+def read_table(path: str | Path, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Read a CSV file in which every line starting with `#` is a comment.
     The iterator returned yields (line, cells) for each non-blank record after
     the header: line is the physical line the record ends on, cells are its
     cells under columns, in that order. A header lacking one of columns, or a
@@ -49,8 +46,6 @@ def read_table(
         if not line.startswith("#"):
             data.append(line)
             numbers.append(number)
-        elif comments is not None:
-            comments.append((number, line))
 
     def records() -> Iterator[tuple[int, tuple[str, ...]]]:
         reader = csv.reader(data)

@@ -113,7 +113,7 @@ def _manifest_profiles(manifest_path: str):
             where = f"{entry.id}: {entry.source_path}" if entry.source_path else entry.id
             print(f"error: {where}: {exc}", file=sys.stderr)
             continue
-        t = tokenize(text, language=entry.language)
+        t = tokenize(text)
         out.append((entry, t, build_profile(t)))
     return out
 
@@ -199,12 +199,12 @@ def cmd_fit(args) -> int:
 
 def cmd_tables(args) -> int:
     try:
-        rows = load_bundled_tables(args.reference_dir)
+        records = targets.recompute(load_bundled_tables(args.reference_dir))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    sections = itertools.groupby(targets.recompute(rows), key=lambda r: (r.metric, r.field == "p"))
+    sections = itertools.groupby(records, key=lambda r: (r.metric, r.field == "p"))
     for (metric, is_p), section in sections:
         if is_p:
             print(f"{'t-test':28s} {'p':>10s} {'recorded':>10s}")
@@ -372,7 +372,7 @@ def _verify_digests(checks: list, directory: Path, cells: dict) -> None:
 
 def cmd_verify(args) -> int:
     tol = args.tolerance
-    if tol < 0:
+    if not tol >= 0:  # also rejects nan
         print("error: --tolerance must be >= 0", file=sys.stderr)
         return 2
     checks: list[tuple[str, str]] = []
@@ -389,10 +389,15 @@ def cmd_verify(args) -> int:
         print(f"FAIL  table load: {exc}")
         print("1 hard failure")
         return 1
+    try:
+        records = targets.recompute(rows)
+    except ValueError as exc:
+        print(f"FAIL  statistics: {exc}")
+        print("1 hard failure")
+        return 1
 
     _verify_digests(checks, directory, cells)
 
-    records = targets.recompute(rows)
     sizes = {r.group: r.n for r in records if r.group in targets.GROUPS}
     _check(checks, sizes == targets.GROUP_SIZES,
            f"group sizes: {sizes} vs recorded {targets.GROUP_SIZES}")

@@ -1,8 +1,8 @@
 """Corpus manifests, raw text loading, reference tables, and group selection.
 
-Reference tables are the bundled per-group metric files under data/. Each
-carries `# language:` and `# nobel:` directives so a file is self-describing;
-any other `#` line is a free-form comment.
+Reference tables are the bundled per-group metric files under data/. A
+table's file name fixes its group (see BUNDLED_TABLES); its `#` lines are
+plain comments.
 """
 from __future__ import annotations
 
@@ -181,29 +181,15 @@ _ORIGINS = {o.value: o for o in Origin}
 
 def load_reference_table(
     path: str | Path,
-    language: Language | None = None,
-    nobel: bool | None = None,
+    language: Language,
+    nobel: bool,
     cells: list[tuple[str, list[str]]] | None = None,
 ) -> list[ReferenceRow]:
-    """Read one bundled metric table. language/nobel default to the file's
-    `# language:` / `# nobel:` directives and may be overridden. If cells is
+    """Read one metric table of the group (language, nobel). If cells is
     given, each row's id and seven metric cells, exactly as written, are
     appended to it. A malformed row raises ValueError naming its line."""
     rows: list[ReferenceRow] = []
-    comments: list[tuple[int, str]] = []
-    records = read_table(path, REFERENCE_COLUMNS, comments)
-    for line, comment in comments:
-        body = comment[1:].strip()
-        if body.lower().startswith("language:") and language is None:
-            try:
-                language = Language.parse(body.split(":", 1)[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from exc
-        elif body.lower().startswith("nobel:") and nobel is None:
-            nobel = _parse_bool(body.split(":", 1)[1], f"{path}:{line}")
-    if language is None or nobel is None:
-        raise ValueError(f"{path}: missing language/nobel directives and no override given")
-    for line, (raw_id, name, genre, origin, *numeric) in records:
+    for line, (raw_id, name, genre, origin, *numeric) in read_table(path, REFERENCE_COLUMNS):
         try:
             name = name.strip()
             entry = CorpusEntry(raw_id.strip(), name, _GENRES[genre.strip()], language,

@@ -21,7 +21,7 @@ from .profile import build_profile, entropy, specific_diversity
 from .readability import readability_inputs, score
 from .tokenizer import tokenize
 from .wqs import StylePoint, wqs
-from .zipf import fit_zipf_exponent, zipf_deviation, zipf_fit_for
+from .zipf import fit_zipf_exponent, zipf_deviation
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def analyze_text(
         raise ValueError("params carry no scale presets; load them via load_language_params")
     try:
         raw = text if text is not None else load_text(entry)
-        t = tokenize(raw, language=params.language)
+        t = tokenize(raw)
         p = build_profile(t)
         d = specific_diversity(p)
         h = entropy(p)
@@ -76,7 +76,7 @@ def analyze_text(
             g = fit_zipf_exponent(p)
         else:
             g = 0.0
-        j = zipf_deviation(p, zipf_fit_for(p, g))
+        j = zipf_deviation(p, g)
         d_rel = relative_diversity(p.D, heaps_predict(params, t.L))
         h_rel = relative_entropy(h, entropy_model_predict(params, d))
         inputs = readability_inputs(t, params)

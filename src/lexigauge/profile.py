@@ -1,5 +1,5 @@
 """Ranked symbol-frequency profiles and the scalar measures computed on them:
-length, diversity, specific diversity, segment mass, and normalized entropy.
+length, diversity, specific diversity, and normalized entropy.
 """
 from __future__ import annotations
 
@@ -50,12 +50,6 @@ class RankedProfile:
     def D(self) -> int:
         return len(self.freqs)
 
-    def frequency(self, rank: int) -> float:
-        """f_r for 1-based rank r."""
-        if not 1 <= rank <= self.D:
-            raise ValueError(f"rank {rank} outside 1..{self.D}")
-        return self.freqs[rank - 1]
-
     @classmethod
     def from_frequencies(cls, freqs) -> "RankedProfile":
         """Profile over anonymous symbols, one per frequency. Frequencies must
@@ -74,13 +68,6 @@ def specific_diversity(p: RankedProfile) -> float:
     if p.D == 0:
         raise ValueError("specific diversity undefined for an empty profile")
     return p.D / p.L
-
-
-def segment_mass(p: RankedProfile, a: int, b: int) -> float:
-    """Total symbol appearances over the rank segment a..b (inclusive)."""
-    if not 1 <= a <= b <= p.D:
-        raise ValueError(f"rank segment {a}..{b} outside 1..{p.D}")
-    return sum(p.freqs[a - 1:b])
 
 
 def entropy(p: RankedProfile) -> float:

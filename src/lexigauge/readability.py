@@ -51,13 +51,6 @@ def ipsz(inputs: ReadabilityInputs) -> float:
     return 206.835 - 84.6 * inputs.W - inputs.S
 
 
-def score(inputs: ReadabilityInputs, params: LanguageParams, formula: str | None = None) -> float:
-    """Language-dispatched score: res for English, ipsz for Spanish. Pass
-    formula="res" or "ipsz" to cross-apply deliberately."""
-    if formula is None:
-        formula = "res" if params.language.code == "EN" else "ipsz"
-    if formula == "res":
-        return res(inputs)
-    if formula == "ipsz":
-        return ipsz(inputs)
-    raise ValueError(f"unknown readability formula {formula!r}")
+def score(inputs: ReadabilityInputs, params: LanguageParams) -> float:
+    """Language-dispatched score: res for English, ipsz for Spanish."""
+    return res(inputs) if params.language.code == "EN" else ipsz(inputs)

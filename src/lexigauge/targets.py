@@ -200,10 +200,20 @@ def split_groups(rows: list[ReferenceRow]) -> dict[str, list[ReferenceRow]]:
     return groups
 
 
+def _named(label: str, statistic, *samples):
+    """statistic(*samples); a ValueError it raises is prefixed with label."""
+    try:
+        return statistic(*samples)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
+
+
 def recompute(rows: list[ReferenceRow]) -> list[Recomputed]:
     """Every recorded statistic, recomputed from rows, in report order: per
     coordinate the group means and stds then its t-tests, then the scale
-    and readability statistics per group, then their t-tests."""
+    and readability statistics per group, then their t-tests. A group too
+    small or too uniform for a statistic raises ValueError naming the group
+    or the pair."""
     # each group's column of each metric the statistics read, pulled out once
     values = {(label, metric): list(map(attrgetter(metric), members))
               for label, members in split_groups(rows).items()
@@ -213,18 +223,21 @@ def recompute(rows: list[ReferenceRow]) -> list[Recomputed]:
     for metric, recorded in RECORDED_GROUP_STATS.items():
         for label in GROUPS:
             _, mean_rec, std_rec = recorded[label]
-            s = summarize(values[label, metric])
+            s = _named(f"{metric} {label}", summarize, values[label, metric])
             for field, got, rec in (("mean", s.mean, mean_rec), ("std", s.std, std_rec)):
                 out.append(Recomputed(metric, label, field, s.n, got, rec, "eq", TOL_GROUP_CELL,
                                       (metric, label, field) in DOCUMENTED_DIVERGENCES))
         for pair, (kind, rec) in RECORDED_PVALUES[metric].items():
             a, b = (values[label, metric] for label in PAIRS[pair])
-            out.append(Recomputed(metric, pair, "p", len(a) + len(b), t_test(a, b), rec, kind,
+            p = _named(f"{metric} p {pair}", t_test, a, b)
+            out.append(Recomputed(metric, pair, "p", len(a) + len(b), p, rec, kind,
                                   TOL_PVALUE_REL, (metric, pair) in DIVERGENT_PVALUES))
     for label, (_, *recorded) in RECORDED_SCALE_STATS.items():
         wqs_vals, read_vals = values[label, "wqs"], values[label, "readability"]
+        # the loops above already failed on any group too small for a statistic
         sw, sr = summarize(wqs_vals), summarize(read_vals)
-        got = (sw.mean, sw.std, sr.mean, sr.std, pearson(wqs_vals, read_vals))
+        got = (sw.mean, sw.std, sr.mean, sr.std,
+               _named(f"scale {label} correlation", pearson, wqs_vals, read_vals))
         for field, g, rec in zip(SCALE_FIELDS, got, recorded):
             out.append(Recomputed("scale", label, field, sw.n, g, rec, "eq", TOL_SCALE_CELL))
     for pair, (kind, rec) in RECORDED_SCALE_PVALUES.items():

@@ -73,15 +73,14 @@ class TokenizedText:
         )
 
 
-def tokenize(raw: str, language=None) -> TokenizedText:
+def tokenize(raw: str) -> TokenizedText:
     """Convert raw text to symbol counts.
 
     Words are case-folded to lower case. Apostrophes between two word
     characters stay inside the word ("don't"); any other apostrophe is a
     punctuation symbol. Hyphens always split words and are kept as symbols.
     A three-dot run collapses to one ellipsis symbol. The rules are language
-    independent; the parameter is accepted so call sites can stay explicit
-    about which text they are processing.
+    independent.
     """
     text = raw
     for src, dst in _NORMALIZE.items():

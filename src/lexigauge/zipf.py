@@ -1,62 +1,32 @@
 """Zipf reference mass, Zipf deviation, and exponent fitting.
 
-The reference profile over a rank segment a..b is f_a / r**g, anchored at the
-observed frequency of the segment's first rank. The deviation J compares the
-observed segment mass against that reference mass.
+The reference profile is f_1 / r**g over the ranks r = 1..D, anchored at the
+observed top frequency. The deviation J compares the observed mass of the
+whole profile against that reference mass.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, mul, truediv
 
-from .profile import RankedProfile, segment_mass
+from .profile import RankedProfile
 
 
-@dataclass(frozen=True)
-class ZipfFit:
-    """Exponent g plus the anchored segment it applies to. f_a is the observed
-    frequency at rank a, not a fitted intercept."""
-    g: float
-    f_a: float
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not 1 <= self.a <= self.b:
-            raise ValueError(f"invalid rank segment {self.a}..{self.b}")
-
-
-def zipf_fit_for(p: RankedProfile, g: float, a: int = 1, b: int | None = None) -> ZipfFit:
-    """Build a ZipfFit for a profile segment, reading the anchor frequency f_a
-    off the profile."""
-    if b is None:
-        b = p.D
-    if not 1 <= a <= b <= p.D:
-        raise ValueError(f"rank segment {a}..{b} outside 1..{p.D}")
-    return ZipfFit(g=g, f_a=p.frequency(a), a=a, b=b)
-
-
-def zipf_reference(p: RankedProfile, fit: ZipfFit) -> float:
-    """Reference mass Z_{a,b} = sum over r=a..b of f_a / r**g."""
-    if not fit.b <= p.D:
-        raise ValueError(f"segment end {fit.b} beyond profile diversity {p.D}")
-    if p.L <= 0:
-        raise ValueError("reference mass undefined for an empty profile")
-    return sum(map(truediv, repeat(fit.f_a), map(pow, range(fit.a, fit.b + 1), repeat(fit.g))))
-
-
-def zipf_deviation(p: RankedProfile, fit: ZipfFit) -> float:
-    """J_{1,D} = (L_{1,D} - Z_{1,D}) / Z_{1,D}, the relative excess of the
-    observed mass over the Zipf reference. Requires a whole-profile fit."""
+def zipf_reference(p: RankedProfile, g: float) -> float:
+    """Reference mass Z_{1,D} = sum over r=1..D of f_1 / r**g."""
     if p.D == 0:
-        raise ValueError("Zipf deviation undefined for an empty profile")
-    if (fit.a, fit.b) != (1, p.D):
-        raise ValueError("Zipf deviation is defined over the whole profile (a=1, b=D)")
-    z = zipf_reference(p, fit)
-    return (segment_mass(p, 1, p.D) - z) / z
+        raise ValueError("reference mass undefined for an empty profile")
+    return sum(map(truediv, repeat(p.freqs[0]), map(pow, range(1, p.D + 1), repeat(g))))
+
+
+def zipf_deviation(p: RankedProfile, g: float) -> float:
+    """J_{1,D} = (L_{1,D} - Z_{1,D}) / Z_{1,D}, the relative excess of the
+    observed mass over the Zipf reference with exponent g."""
+    z = zipf_reference(p, g)
+    # sum, not p.L: on 3.12+ it compensates rounding, as the loop oracle's does
+    return (sum(p.freqs) - z) / z
 
 
 # log r and the running sums of (log r)**2 for r = 1, 2, ...; a longer pair

@@ -423,6 +423,13 @@ def test_verify_zero_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+def test_verify_rejects_a_negative_or_nan_tolerance(capsys, tolerance):
+    assert main(["verify", "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --tolerance must be >= 0\n")
+
+
 @pytest.fixture()
 def work(tmp_path):
     """A copy of the bundled tables, parameters, presets and sidecar."""
@@ -497,6 +504,39 @@ def test_verify_skips_the_digests_without_a_sidecar_in_the_env_dir(work, monkeyp
     out = capsys.readouterr().out
     assert "INFO  row digests: no integrity.csv sidecar; skipped" in out
     assert out.splitlines()[-1] == "68 passed, 0 failed, 17 informational"
+
+
+def _keep_rows(table, n):
+    """Cut a table down to its `#` lines, its header and its first n rows."""
+    lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    head = sum(1 for line in lines if line.startswith("#")) + 1
+    table.write_text("".join(lines[:head + n]), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["tables", "verify"])
+@pytest.mark.parametrize("case, message", [
+    ("one row each", "d_rel p en nobel vs non: both samples need at least 2 values"),
+    ("empty group", "d_rel en-nobel: cannot summarize an empty group"),
+    ("uniform group",
+     "scale en-nobel correlation: correlation undefined for a zero-variance sample"),
+])
+def test_a_group_unfit_for_its_statistics_is_named(work, capsys, command, case, message):
+    if case == "one row each":
+        for name, _, _ in BUNDLED_TABLES:
+            _keep_rows(work / name, 1)
+    elif case == "empty group":
+        _keep_rows(work / "english_nobel.csv", 0)
+    else:  # EN2 repeats EN1's values
+        _keep_rows(work / "english_nobel.csv", 2)
+        _edit(work / "english_nobel.csv", "0.2730,0.8250,-0.0559,0.0092,0.0186,63.3497,0.3048",
+              "0.3470,0.8500,0.0778,0.0030,0.0487,37.7653,0.3577")
+    capsys.readouterr()
+    assert main([command, "--reference-dir", str(work)]) == 1
+    captured = capsys.readouterr()
+    if command == "tables":
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    else:
+        assert captured.out == f"FAIL  statistics: {message}\n1 hard failure\n"
 
 
 @pytest.mark.parametrize("argv", [["tables"], ["verify"], ["plot-data", "--figure", "wqs-plane"]])

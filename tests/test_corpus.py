@@ -212,7 +212,7 @@ def test_reference_table_rejects_bad_numbers(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ValueError, match="R1"):
-        load_reference_table(path)
+        load_reference_table(path, Language.ENGLISH, False)
 
 
 def test_reference_table_rejects_out_of_range(tmp_path):
@@ -224,18 +224,7 @@ def test_reference_table_rejects_out_of_range(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ValueError, match="R1"):
-        load_reference_table(path)
-
-
-def test_reference_table_needs_group_directives(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text(
-        "id,name,genre,origin,d,h,d_rel,h_rel,j,readability,wqs\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match="directives"):
-        load_reference_table(path)
-    assert load_reference_table(path, language=Language.ENGLISH, nobel=False) == []
+        load_reference_table(path, Language.ENGLISH, False)
 
 
 def test_load_text_errors(tmp_path):
@@ -284,9 +273,11 @@ def _number(draw, lo, hi):
 
 
 @st.composite
-def _reference_table(draw) -> str:
+def _reference_table(draw) -> tuple[str, Language, bool]:
     """A well-formed reference table: shuffled (and sometimes extra) columns,
-    padded cells, names with commas and quotes, comment and blank lines."""
+    padded cells, names with commas and quotes, comment and blank lines; and
+    its group. The oracle reads the group from `# language:`/`# nobel:`
+    lines, which the loader reads as plain comments."""
     columns = draw(st.permutations(list(REFERENCE_COLUMNS) + draw(st.sampled_from([[], ["notes"]]))))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [",".join(columns) + newline]
@@ -308,22 +299,23 @@ def _reference_table(draw) -> str:
         lines.append(buf.getvalue())
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), newline)
-    extra = [f"# language: {draw(st.sampled_from(['English', 'es', 'SPANISH']))}",
-             f"# nobel: {draw(st.sampled_from(['true', 'no', '1']))}",
-             "# a comment, with a comma"]
+    language = draw(st.sampled_from(['English', 'es', 'SPANISH']))
+    nobel = draw(st.sampled_from(['true', 'no', '1']))
+    extra = [f"# language: {language}", f"# nobel: {nobel}", "# a comment, with a comma"]
     for line in extra + draw(st.lists(st.just("#"), max_size=2)):
         lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), line + newline)
-    return "".join(lines)
+    return "".join(lines), Language.parse(language), nobel != "no"
 
 
 @settings(max_examples=200, deadline=None)
 @given(_reference_table())
-def test_reference_table_matches_the_dictreader_loader(text):
+def test_reference_table_matches_the_dictreader_loader(table):
+    text, language, nobel = table
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_bytes(text.encode("utf-8"))
         cells: list = []
-        assert load_reference_table(path, cells=cells) == loop_load_reference_table(path)
+        assert load_reference_table(path, language, nobel, cells) == loop_load_reference_table(path)
         # verify's digest check accepts the sidecar the re-reading verify wrote
         with open(Path(tmp) / "integrity.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -360,8 +352,5 @@ def test_reference_table_errors_name_their_line(tmp_path):
     ):
         path.write_text(head + good + "# between\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:6: ")) as exc:
-            load_reference_table(path)
+            load_reference_table(path, Language.ENGLISH, False)
         assert message in str(exc.value)
-    path.write_text("# nobel: maybe\n" + good, encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:1: bad boolean")):
-        load_reference_table(path, language=Language.ENGLISH)

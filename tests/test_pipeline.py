@@ -94,7 +94,7 @@ def test_data_failures_are_wrapped_and_bugs_propagate(en_params, tmp_path, monke
             analyze_text(entry(source_path=str(path)), en_params)
         assert isinstance(info.value.cause, cause)
 
-    def broken(raw, language=None):
+    def broken(raw):
         raise TypeError("a bug, not bad data")
 
     monkeypatch.setattr(pipeline, "tokenize", broken)

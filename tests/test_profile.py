@@ -9,11 +9,10 @@ from lexigauge.profile import (
     build_profile,
     dump_profile,
     entropy,
-    segment_mass,
     specific_diversity,
 )
 from lexigauge.tokenizer import TokenizedText, tokenize
-from lexigauge.zipf import fit_zipf_exponent, zipf_deviation, zipf_fit_for, zipf_reference
+from lexigauge.zipf import fit_zipf_exponent, zipf_deviation, zipf_reference
 
 
 def test_build_profile_ranks_by_frequency():
@@ -21,21 +20,12 @@ def test_build_profile_ranks_by_frequency():
     assert p.entries == (("b", 3), ("a", 2), ("c", 1))
     assert p.D == 3
     assert p.L == 6
-    assert p.frequency(1) == 3
-    assert p.frequency(3) == 1
+    assert p.freqs == (3, 2, 1)
 
 
 def test_tie_break_is_by_symbol():
     p = build_profile(tokenize("b a"))
     assert p.entries == (("a", 1), ("b", 1))
-
-
-def test_frequency_rank_bounds():
-    p = RankedProfile.from_frequencies([2, 1])
-    with pytest.raises(ValueError):
-        p.frequency(0)
-    with pytest.raises(ValueError):
-        p.frequency(3)
 
 
 def test_profile_validation():
@@ -55,19 +45,6 @@ def test_specific_diversity():
     assert specific_diversity(p) == pytest.approx(2 / 3)
     with pytest.raises(ValueError):
         specific_diversity(RankedProfile(()))
-
-
-def test_segment_mass():
-    p = RankedProfile.from_frequencies([8, 4, 2, 1])
-    assert segment_mass(p, 1, 4) == 15
-    assert segment_mass(p, 2, 3) == 6
-    assert segment_mass(p, 3, 3) == 2
-    with pytest.raises(ValueError):
-        segment_mass(p, 0, 2)
-    with pytest.raises(ValueError):
-        segment_mass(p, 3, 2)
-    with pytest.raises(ValueError):
-        segment_mass(p, 1, 5)
 
 
 def test_entropy_known_values():
@@ -146,9 +123,8 @@ def _assert_matches_loops(p, counts):
     if p.D >= 3:
         g = fit_zipf_exponent(p)
         assert g == loop_profile.loop_fit_zipf_exponent(entries)
-    fit = zipf_fit_for(p, g)
-    assert zipf_reference(p, fit) == loop_profile.loop_zipf_reference(entries[0][1], g, 1, p.D)
-    assert zipf_deviation(p, fit) == loop_profile.loop_zipf_deviation(entries, g)
+    assert zipf_reference(p, g) == loop_profile.loop_zipf_reference(entries[0][1], g, 1, p.D)
+    assert zipf_deviation(p, g) == loop_profile.loop_zipf_deviation(entries, g)
 
 
 @settings(max_examples=300)
@@ -168,8 +144,8 @@ def test_measures_do_not_rank_symbols():
     p = build_profile(tokenize("the cat and the dog and the bird, and a cat."))
     d, h = specific_diversity(p), entropy(p)
     g = fit_zipf_exponent(p)
-    j = zipf_deviation(p, zipf_fit_for(p, g))
-    assert (p.D, p.L, p.frequency(2), segment_mass(p, 1, p.D)) == (8, 13, 3, 13)
+    j = zipf_deviation(p, g)
+    assert (p.D, p.L, p.freqs[1]) == (8, 13, 3)
     assert 0 < d < 1 and 0 < h < 1 and g > 0 and j != 0
     assert "entries" not in vars(p)
     assert p.entries[0] == ("and", 3)

@@ -61,9 +61,6 @@ def test_language_dispatch(en_params, es_params):
     inputs = ReadabilityInputs(W=1.5, S=10)
     assert score(inputs, en_params) == res(inputs)
     assert score(inputs, es_params) == ipsz(inputs)
-    assert score(inputs, en_params, formula="ipsz") == ipsz(inputs)
-    with pytest.raises(ValueError):
-        score(inputs, en_params, formula="smog")
 
 
 def test_alternate_syllable_constants():

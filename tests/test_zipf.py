@@ -2,52 +2,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexigauge.profile import RankedProfile
-from lexigauge.zipf import (
-    ZipfFit,
-    fit_zipf_exponent,
-    zipf_deviation,
-    zipf_fit_for,
-    zipf_reference,
-)
+from lexigauge.zipf import fit_zipf_exponent, zipf_deviation, zipf_reference
 
 
 def test_reference_mass_hand_value():
     # harmonic sum: 8 * (1 + 1/2 + 1/3 + 1/4)
     p = RankedProfile.from_frequencies([8, 4, 2, 1])
-    fit = zipf_fit_for(p, g=1.0)
-    assert zipf_reference(p, fit) == pytest.approx(16.666666666666664, abs=1e-12)
-    assert zipf_deviation(p, fit) == pytest.approx(-0.1, abs=1e-12)
+    assert zipf_reference(p, 1.0) == pytest.approx(16.666666666666664, abs=1e-12)
+    assert zipf_deviation(p, 1.0) == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_exact_power_profile_has_zero_deviation():
     g = 1.3
     p = RankedProfile.from_frequencies([100.0 / r**g for r in range(1, 40)])
-    fit = zipf_fit_for(p, g=g)
-    assert abs(zipf_deviation(p, fit)) < 1e-12
+    assert abs(zipf_deviation(p, g)) < 1e-12
 
 
-def test_fit_segment_validation():
-    p = RankedProfile.from_frequencies([4, 2, 1])
-    with pytest.raises(ValueError):
-        zipf_fit_for(p, 1.0, a=0)
-    with pytest.raises(ValueError):
-        zipf_fit_for(p, 1.0, a=2, b=5)
-    with pytest.raises(ValueError):
-        ZipfFit(g=1.0, f_a=4.0, a=3, b=2)
-
-
-def test_deviation_requires_whole_profile():
-    p = RankedProfile.from_frequencies([4, 2, 1])
-    partial = zipf_fit_for(p, 1.0, a=1, b=2)
-    with pytest.raises(ValueError):
-        zipf_deviation(p, partial)
-
-
-def test_reference_segment_subsets():
-    p = RankedProfile.from_frequencies([8, 4, 2, 1])
-    fit = zipf_fit_for(p, g=1.0, a=2, b=4)
-    # anchored at f_2 = 4: 4 * (1/2 + 1/3 + 1/4)
-    assert zipf_reference(p, fit) == pytest.approx(4 * (1 / 2 + 1 / 3 + 1 / 4), abs=1e-12)
+def test_empty_profile_has_no_deviation():
+    with pytest.raises(ValueError, match="empty profile"):
+        zipf_deviation(RankedProfile(()), 1.0)
 
 
 def test_fitted_exponent_known_profiles():
@@ -85,7 +58,6 @@ def test_fit_recovers_exact_power_laws(g, D, f1):
 @given(st.lists(st.integers(min_value=1, max_value=1000), min_size=3, max_size=50))
 def test_deviation_sign_matches_mass_comparison(cs):
     p = RankedProfile.from_frequencies(sorted(cs, reverse=True))
-    fit = zipf_fit_for(p, g=1.0)
-    z = zipf_reference(p, fit)
-    j = zipf_deviation(p, fit)
+    z = zipf_reference(p, 1.0)
+    j = zipf_deviation(p, 1.0)
     assert j == pytest.approx((p.L - z) / z, rel=1e-12)
