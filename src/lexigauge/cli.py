@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import itertools
 import math
 import sys
@@ -337,6 +336,8 @@ def _check(checks: list, ok: bool, message: str, info: bool = False) -> None:
 def _verify_digests(checks: list, directory: Path, cells: dict) -> None:
     """Check each row's md5 digest of its seven metric cells, as written (the
     cells load_bundled_tables collected), against the integrity sidecar."""
+    import hashlib  # only verify needs it; other commands skip loading _hashlib
+
     sidecar = directory / "integrity.csv"
     if not sidecar.is_file():
         _check(checks, True, "row digests: no integrity.csv sidecar; skipped", info=True)

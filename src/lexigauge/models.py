@@ -2,8 +2,7 @@
 
 Two models per language: a power law D_m = c * L^beta predicting vocabulary
 from length, and h_m = d^e predicting entropy from specific diversity. The
-exponent e is stored directly; the underlying shape parameter alpha with
-e = (alpha - 2)/(alpha - 1) is available via alpha_from_exponent.
+exponent e is stored directly.
 
 Fitting minimizes the linear-space squared error. Log-space least squares
 only seeds the iteration; a damped Gauss-Newton refinement does the real
@@ -43,13 +42,6 @@ class LanguageParams:
             raise ValueError(f"entropy_exponent must be in (0,1), got {self.entropy_exponent}")
         if not self.c_sy > 0:
             raise ValueError(f"c_sy must be positive, got {self.c_sy}")
-
-
-def alpha_from_exponent(e: float) -> float:
-    """Invert e = (alpha - 2)/(alpha - 1)."""
-    if e >= 1:
-        raise ValueError("exponent must be below 1")
-    return (2 - e) / (1 - e)
 
 
 def heaps_predict(params: LanguageParams, L: int) -> float:

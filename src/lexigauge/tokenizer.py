@@ -12,6 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import filterfalse
 from operator import mul
 
 # Marks counted as symbols in their own right. Everything else that is not a
@@ -34,6 +35,10 @@ _NORMALIZE = {
 _SYMBOL = re.compile(r"[^\W_]+(?:'[^\W_]+)*|["
                      + "".join(re.escape(ch) for ch in sorted(PUNCTUATION)) + "]")
 
+# Marks that are a symbol wherever they occur and separate words as
+# whitespace does; the apostrophe is not one, as it can sit inside a word.
+_MARKS = tuple(sorted(PUNCTUATION - {"'"}))
+
 
 class TokenKind(Enum):
     WORD = "word"
@@ -50,11 +55,12 @@ class SymbolToken:
 class TokenizedText:
     """Symbol counts of a text.
 
-    counts maps each symbol to its number of occurrences, in order of first
-    appearance. L is the total symbol count, L_w the word count, L_ph the raw
-    count of phrase-terminator tokens (no floor applied; see count_phrases),
-    and L_CH the number of characters inside word tokens. normalized is the
-    text the symbols were read from.
+    counts maps each symbol to its number of occurrences. Its order carries
+    no meaning (punctuation marks come first, symbols re-counted through the
+    regex last), and nothing downstream reads it. L is the total symbol
+    count, L_w the word count, L_ph the raw count of phrase-terminator tokens
+    (no floor applied; see count_phrases), and L_CH the number of characters
+    inside word tokens. normalized is the text the symbols were read from.
     """
     counts: dict[str, int]
     L: int
@@ -87,9 +93,29 @@ def tokenize(raw: str) -> TokenizedText:
         text = text.replace(src, dst)
     text = text.replace("...", "…")
 
-    # Case is folded per token: folding the whole text first would split
-    # words at non-alphanumeric lower cases ("İ" folds to "i" + U+0307).
-    counts = Counter(map(str.lower, _SYMBOL.findall(text)))
+    # Each mark is counted, then blanked out. A symbol never spans whitespace,
+    # so the regex's matches are those of each whitespace-split chunk, and a
+    # chunk that is all alphanumeric is one word. Every chunk is counted
+    # lower-cased, then each distinct other chunk trades its count for those
+    # of its symbols. Case is folded per chunk or symbol, never over the
+    # whole text, which would split words at "İ" and fold "Σ" by its
+    # neighbours.
+    counts = Counter()
+    blanked = text
+    for mark in _MARKS:
+        n = blanked.count(mark)
+        if n:
+            counts[mark] = n
+            blanked = blanked.replace(mark, " ")
+    chunks = blanked.split()
+    counts.update(map(str.lower, chunks))
+    for chunk, n in Counter(filterfalse(str.isalnum, chunks)).items():
+        key = chunk.lower()
+        counts[key] -= n
+        if not counts[key]:
+            del counts[key]
+        for symbol in _SYMBOL.findall(chunk):
+            counts[symbol.lower()] += n
     L = sum(counts.values())
     L_w = L - sum(counts[m] for m in PUNCTUATION)
     return TokenizedText(

@@ -3,6 +3,8 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -588,3 +590,19 @@ def test_analyze_without_parameters_for_its_language(work, monkeypatch, capsys):
     monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
     assert main(["analyze", text, "--lang", "es"]) == 1
     assert capsys.readouterr().err == "error: language_params.csv has no Spanish row\n"
+
+
+def test_only_verify_imports_hashlib(sample_texts):
+    # the row digests are verify's alone, so the other commands start without
+    # loading _hashlib
+    probe = ("import sys; from lexigauge.cli import main; main(sys.argv[1:]); "
+             "print('hashlib' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    for argv, loaded in ((["analyze", str(sample_texts[0]), "--lang", "en"], "False"),
+                         (["tables"], "False"),
+                         (["verify"], "True")):
+        result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.stderr.splitlines()[-1] == loaded, (argv, result.stderr)

@@ -13,7 +13,6 @@ from lexigauge.corpus import Language
 from lexigauge.models import (
     LanguageParams,
     _normal_step,
-    alpha_from_exponent,
     entropy_model_predict,
     fit_entropy_model,
     fit_heaps,
@@ -88,14 +87,6 @@ def test_relative_entropy():
         relative_entropy(1.2, 0.5)
     with pytest.raises(ValueError):
         relative_entropy(0.5, -0.1)
-
-
-def test_alpha_roundtrip():
-    e = 0.1523
-    a = alpha_from_exponent(e)
-    assert (a - 2) / (a - 1) == pytest.approx(e, rel=1e-14)
-    with pytest.raises(ValueError):
-        alpha_from_exponent(1.0)
 
 
 @given(st.floats(min_value=-0.99, max_value=20.0), st.floats(min_value=1e-3, max_value=1e6))

@@ -1,7 +1,9 @@
+import re
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from loop_tokenizer import loop_tokenize
 
 from lexigauge.profile import build_profile
@@ -134,16 +136,21 @@ def test_concatenation_is_additive(a, b):
     assert merged.L == tokenize(a).L + tokenize(b).L
 
 
-# Characters where a regex scan and a character loop could part ways: quote
-# and apostrophe variants, the underscore (a regex word character but not
-# alphanumeric), letters whose lower case changes length or class (ß, İ, ı,
-# ǅ), combining marks, non-ASCII digits and numerals, and whitespace.
-UNICODE_DRAWS = sorted(PUNCTUATION) + list("'’‘“”\"…_ßİıaZ7\u0301\u0307²½٣ǅ \t\n") + ["..."]
+# Characters where a regex scan, a whitespace split and a character loop
+# could part ways: quote and apostrophe variants, the underscore (a regex word
+# character but not alphanumeric), letters whose lower case changes length or
+# class (ß, İ, ı, ǅ), combining marks, non-ASCII digits and numerals,
+# whitespace (U+00A0 too), unlisted marks, the sigmas and U+00B7 (final-sigma
+# context), and the caseless letters U+01C0-U+01C3.
+UNICODE_DRAWS = (sorted(PUNCTUATION)
+                 + list("'’‘“”\"…_ßİıaZ7\u0301\u0307²½٣ǅ \t\n\u00a0«»¿¡@ΣσςΑ\u00b7ǀǁǂǃ")
+                 + ["...", "İǀǁǂǃ", "ΟΔΟΣ"])
 unicode_texts = st.lists(st.sampled_from(UNICODE_DRAWS), max_size=80).map("".join)
 
 
 @settings(max_examples=500)
 @given(unicode_texts)
+@example("ΟΔΟΣ·Α")  # lower() of the whole text would read this Σ as not final
 def test_matches_the_character_loop(s):
     t = tokenize(s)
     oracle = loop_tokenize(s)
@@ -153,3 +160,13 @@ def test_matches_the_character_loop(s):
     assert t.counts == oracle_counts
     assert build_profile(t).entries == tuple(
         sorted(oracle_counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+def test_whitespace_split_agrees_with_the_regex_alphabet():
+    # tokenize counts whitespace-split chunks, scanning only those that are not
+    # all alphanumeric; that is exact as long as, in this interpreter's Unicode
+    # tables, [^\W_] is str.isalnum and no whitespace character is alphanumeric
+    # or a punctuation mark
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"[^\W_]", every)) == {ch for ch in every if ch.isalnum()}
+    assert not [ch for ch in every if ch.isspace() and (ch.isalnum() or ch in PUNCTUATION)]
