@@ -3,8 +3,8 @@ read the CSV tables among them."""
 from __future__ import annotations
 
 import csv
+import io
 import os
-from collections.abc import Iterator
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
@@ -31,35 +31,47 @@ def data_path(name: str) -> Path:
     return path
 
 
-def read_table(path: str | Path, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file, each with its ending, split as
+    open(newline="") splits them: on \\n, \\r and \\r\\n only. Bytes that are
+    not UTF-8 raise ValueError naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 (byte 0x{data[exc.start]:02x} at offset "
+                         f"{exc.start}: {exc.reason})") from exc
+    return io.StringIO(text, newline="").readlines()
+
+
+def read_table(path: str | Path, columns: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
     """Read a CSV file in which every line starting with `#` is a comment.
-    The iterator returned yields (line, cells) for each non-blank record after
-    the header: line is the physical line the record ends on, cells are its
-    cells under columns, in that order. A header lacking one of columns, or a
-    record with fewer cells than the header, raises ValueError naming the
-    file or the line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    The list returned holds (line, cells) for each non-blank record after the
+    header: line is the physical line the record ends on, cells are its cells
+    under columns, in that order. A header lacking one of columns, a record
+    with fewer cells than the header, or bytes that are not UTF-8 raise
+    ValueError naming the file or the line."""
     data: list[str] = []
     numbers: list[int] = []
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(read_lines(path), start=1):
         if not line.startswith("#"):
             data.append(line)
             numbers.append(number)
-
-    def records() -> Iterator[tuple[int, tuple[str, ...]]]:
-        reader = csv.reader(data)
-        header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        index = {c: i for i, c in enumerate(header)}  # the last of repeated names, as DictReader
-        pick = itemgetter(*(index[c] for c in columns))
-        for cells in reader:
-            if len(cells) >= len(header):
-                yield numbers[reader.line_num - 1], pick(cells)
-            elif cells:
-                raise ValueError(f"{path}:{numbers[reader.line_num - 1]}: short row: "
-                                 f"{len(cells)} cells, the header has {len(header)}")
-
-    return records()
+    reader = csv.reader(data)
+    header = next(reader, [])
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns {missing}")
+    index = {c: i for i, c in enumerate(header)}  # the last of repeated names, as DictReader
+    pick = itemgetter(*(index[c] for c in columns))
+    records = []
+    for cells in reader:
+        if len(cells) >= len(header):
+            records.append((numbers[reader.line_num - 1], pick(cells)))
+        elif cells:
+            raise ValueError(f"{path}:{numbers[reader.line_num - 1]}: short row: "
+                             f"{len(cells)} cells, the header has {len(header)}")
+    return records

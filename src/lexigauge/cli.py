@@ -464,55 +464,67 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ main
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand: its handler's name (looked up at each build, so a wrapper set on
+# this module runs), its help line and its (name, add_argument keywords) pairs
+_COMMANDS = {
+    "analyze": ("cmd_analyze", "score text files and emit a metric report", (
+        ("paths", dict(nargs="+", help="UTF-8 text files")),
+        ("--lang", dict(required=True, choices=("en", "es"))),
+        ("--format", dict(default="csv", choices=("csv", "jsonl"))),
+        ("--zipf-g", dict(type=float,
+                          help="fix the frequency-profile exponent instead of fitting it")),
+        ("--preset", dict(help="scale preset for the wqs_verbatim column "
+                               "(default verbatim-<lang>)")),
+        ("--out", dict(help="write the report here instead of stdout")),
+    )),
+    "fit": ("cmd_fit", "fit corpus models to a manifest of texts", (
+        ("--manifest", dict(required=True)),
+        ("--model", dict(required=True, choices=("heaps", "entropy", "zipf"))),
+        ("--out", dict(help="write a parameter file with the fitted values")),
+    )),
+    "tables": ("cmd_tables", "recompute the recorded group statistics", (
+        ("--reference-dir", dict(help="directory of reference tables (default: bundled)")),
+    )),
+    "plot-data": ("cmd_plotdata", "emit figure-ready point files", (
+        ("--figure", dict(required=True, choices=FIGURES)),
+        ("--reference-dir", {}),
+        ("--report", dict(help="analysis report to plot instead of the bundled tables")),
+        ("--out", {}),
+    )),
+    "verify": ("cmd_verify", "check bundled tables against recorded targets", (
+        ("--reference-dir", {}),
+        ("--tolerance", dict(type=float, default=1.0, help="scales the recorded-value "
+                             "tolerances (0 fails on rounding alone)")),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, declaring every subcommand or only command."""
     parser = argparse.ArgumentParser(
         prog="lexigauge",
         description="Corpus stylometry: diversity, entropy, frequency-profile "
                     "deviation, readability, and the writing quality scale.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="score text files and emit a metric report")
-    p.add_argument("paths", nargs="+", help="UTF-8 text files")
-    p.add_argument("--lang", required=True, choices=("en", "es"))
-    p.add_argument("--format", default="csv", choices=("csv", "jsonl"))
-    p.add_argument("--zipf-g", type=float, default=None,
-                   help="fix the frequency-profile exponent instead of fitting it")
-    p.add_argument("--preset", default=None,
-                   help="scale preset for the wqs_verbatim column (default verbatim-<lang>)")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("fit", help="fit corpus models to a manifest of texts")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--model", required=True, choices=("heaps", "entropy", "zipf"))
-    p.add_argument("--out", default=None, help="write a parameter file with the fitted values")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("tables", help="recompute the recorded group statistics")
-    p.add_argument("--reference-dir", default=None,
-                   help="directory of reference tables (default: bundled)")
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("plot-data", help="emit figure-ready point files")
-    p.add_argument("--figure", required=True, choices=FIGURES)
-    p.add_argument("--reference-dir", default=None)
-    p.add_argument("--report", default=None,
-                   help="analysis report to plot instead of the bundled tables")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_plotdata)
-
-    p = sub.add_parser("verify", help="check bundled tables against recorded targets")
-    p.add_argument("--reference-dir", default=None)
-    p.add_argument("--tolerance", type=float, default=1.0,
-                   help="scales the recorded-value tolerances (0 fails on rounding alone)")
-    p.set_defaults(func=cmd_verify)
-
+    # the usage line names all five subcommands either way; the full parser
+    # keeps no metavar, which would change its error messages
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        handler, help_line, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=globals()[handler])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # declare only the subcommand named first; help or a misspelling gets all
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     return args.func(args)
 
 

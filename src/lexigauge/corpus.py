@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-from ._data import data_dir, read_table
+from ._data import data_dir, read_lines, read_table
 
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import TextMetrics
@@ -116,9 +116,9 @@ MANIFEST_COLUMNS = ("id", "name", "genre", "origin", "language", "nobel", "year"
 def _read_csv(path: str | Path) -> tuple[csv.DictReader, int]:
     """A reader over a CSV file after its leading `#` comment lines, and the
     number of those lines: a row ends on physical line comments + line_num.
-    A short row's missing cells read as empty."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    A short row's missing cells read as empty. Bytes that are not UTF-8 raise
+    ValueError naming the file and the line."""
+    lines = read_lines(path)
     comments = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
     return csv.DictReader(lines[comments:], restval=""), comments
 

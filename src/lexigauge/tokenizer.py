@@ -108,6 +108,7 @@ def tokenize(raw: str) -> TokenizedText:
             counts[mark] = n
             blanked = blanked.replace(mark, " ")
     chunks = blanked.split()
+    del blanked  # a copy of the text; let it go before counting
     counts.update(map(str.lower, chunks))
     for chunk, n in Counter(filterfalse(str.isalnum, chunks)).items():
         key = chunk.lower()

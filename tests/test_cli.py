@@ -166,14 +166,14 @@ def test_cli_keeps_the_names_the_benchmark_uses(monkeypatch, capsys):
              "cmd_plotdata", "cmd_verify")
     assert [n for n in names if not callable(getattr(cli, n, None))] == []
     calls = Counter()
-    for name in ("analyze_text", "write_report"):
+    for name in ("analyze_text", "write_report", "cmd_analyze"):
         def counted(*args, _name=name, _wrapped=getattr(cli, name), **kwargs):
             calls[_name] += 1
             return _wrapped(*args, **kwargs)
         monkeypatch.setattr(cli, name, counted)
     assert main(["analyze", str(data_dir() / "texts" / "gettysburg_address.txt"),
                  "--lang", "en"]) == 0
-    assert calls == {"analyze_text": 1, "write_report": 1}
+    assert calls == {"analyze_text": 1, "write_report": 1, "cmd_analyze": 1}
 
 
 def test_usage_errors_exit_2():
@@ -345,20 +345,21 @@ def test_plot_data_report_figures(sample_texts, tmp_path):
     assert any(l.startswith("data,") for l in read_lines(out2))
 
 
-def test_plot_data_bad_report_cell_names_its_line(sample_texts, tmp_path, capsys):
+@pytest.mark.parametrize("cell, message", [("x", "'x'"), ("\udcff", "not UTF-8")])
+def test_plot_data_bad_report_cell_names_its_line(sample_texts, tmp_path, capsys, cell, message):
     a, b = sample_texts
     report = tmp_path / "r.csv"
     main(["analyze", str(a), str(b), "--lang", "en", "--out", str(report)])
     lines = report.read_text(encoding="utf-8").splitlines()
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     cells = lines[header + 2].split(",")
-    cells[REPORT_COLUMNS.index("L")] = "x"
+    cells[REPORT_COLUMNS.index("L")] = cell
     lines[header + 2] = ",".join(cells)
-    report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    report.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     capsys.readouterr()
     assert main(["plot-data", "--figure", "diversity", "--report", str(report)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {report}:{header + 3}: ") and "'x'" in err
+    assert err.startswith(f"error: {report}:{header + 3}: ") and message in err
 
 
 def test_plot_data_missing_report(tmp_path, capsys):
@@ -445,9 +446,11 @@ def work(tmp_path):
 
 
 def _edit(path, old, new):
+    """Replace old by new in the file at path; a lone surrogate "\\udcXX" in
+    new is written as the byte 0xXX, which is not UTF-8."""
     text = path.read_text(encoding="utf-8")
     assert old in text
-    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    path.write_text(text.replace(old, new, 1), encoding="utf-8", errors="surrogateescape")
 
 
 def test_verify_detects_corruption(work, capsys):
@@ -488,6 +491,15 @@ def test_verify_names_a_row_missing_from_the_sidecar(work, capsys):
     _edit(work / "integrity.csv", "english_non_nobel.csv,ET1,7ea3a3c86c\n", "")
     assert _verify_fails(work, capsys) == [
         "FAIL  row digests: english_non_nobel.csv row ET1: not in integrity sidecar"]
+
+
+def test_verify_names_the_line_of_a_bad_byte_in_the_sidecar(work, capsys):
+    sidecar = work / "integrity.csv"
+    row = "english_non_nobel.csv,ET1,7ea3a3c86c"
+    line = sidecar.read_text(encoding="utf-8").splitlines().index(row) + 1
+    _edit(sidecar, row, row[:-2] + "\udcff")
+    [fail] = _verify_fails(work, capsys)
+    assert fail.startswith(f"FAIL  row digests: {sidecar}:{line}: not UTF-8 (byte 0xff"), fail
 
 
 def test_verify_names_a_sidecar_row_missing_from_its_table(work, capsys):
@@ -546,6 +558,8 @@ def test_a_group_unfit_for_its_statistics_is_named(work, capsys, command, case, 
     ("EN2,1909.BS.SelmaLagerlof,X,O,0.2730,0.8250,-0.0559,0.0092,0.0186,63.3497,0.3048",
      "row EN2: bad genre 'X'"),
     ("EN2,1909.BS.SelmaLagerlof", "short row: 2 cells, the header has 11"),
+    ("EN2,1909.BS.Selma\udcffLagerlof,S,O,0.2730,0.8250,-0.0559,0.0092,0.0186,63.3497,0.3048",
+     "not UTF-8 (byte 0xff at offset"),
 ])
 def test_malformed_reference_row_names_its_line(work, capsys, argv, bad, message):
     table = work / "english_nobel.csv"
@@ -560,6 +574,8 @@ def test_malformed_reference_row_names_its_line(work, capsys, argv, bad, message
 @pytest.mark.parametrize("name, old, new, line", [
     ("language_params.csv", "English,3.766,", "English,x,", 2),
     ("wqs_presets.csv", "verbatim-es,-0.02339,", "verbatim-es,y,", 3),
+    ("language_params.csv", "English,3.766,", "English,\udcff3.766,", 2),
+    ("wqs_presets.csv", "verbatim-es,-0.02339,", "verbatim-es,-0.02339\udcfe,", 3),
 ])
 @pytest.mark.parametrize("command", ["analyze", "analyze-preset", "fit-out", "plot-data", "verify"])
 def test_malformed_parameter_file_names_its_line(work, synthetic_growth_corpus, monkeypatch, capsys,
@@ -593,14 +609,15 @@ def test_analyze_without_parameters_for_its_language(work, monkeypatch, capsys):
 
 
 def test_only_verify_imports_hashlib(sample_texts):
-    # the row digests are verify's alone, so the other commands start without
-    # loading _hashlib
-    probe = ("import sys; from lexigauge.cli import main; main(sys.argv[1:]); "
-             "print('hashlib' in sys.modules, file=sys.stderr)")
+    # the row digests are verify's alone, so the import and the other
+    # commands start without loading _hashlib
+    probe = ("import sys; from lexigauge.cli import main; sys.argv[1:] and main(sys.argv[1:]); "
+             "print(any(m in sys.modules for m in ('hashlib', '_hashlib')), file=sys.stderr)")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    for argv, loaded in ((["analyze", str(sample_texts[0]), "--lang", "en"], "False"),
+    for argv, loaded in (([], "False"),
+                         (["analyze", str(sample_texts[0]), "--lang", "en"], "False"),
                          (["tables"], "False"),
                          (["verify"], "True")):
         result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from loop_tables import loop_digests, loop_load_reference_table
 
 from lexigauge.cli import _verify_digests, main
-from lexigauge._data import data_dir
+from lexigauge._data import data_dir, read_lines
 from lexigauge.corpus import (
     BUNDLED_TABLES,
     REFERENCE_COLUMNS,
@@ -133,14 +133,30 @@ def test_manifest_malformed_row_names_its_line_after_comments(tmp_path):
         load_manifest(path)
 
 
-def test_manifest_short_row_names_its_line(tmp_path, capsys):
+@pytest.mark.parametrize("row, message", [
+    ("A,x", "malformed manifest row"),
+    # "\udcff" is written as the byte 0xff, which is not UTF-8
+    ("A,x\udcff,S,O,EN,false,,", "not UTF-8 (byte 0xff at offset 56: invalid start byte)"),
+])
+def test_manifest_bad_row_names_its_line(tmp_path, capsys, row, message):
     path = tmp_path / "m.csv"
-    path.write_text("id,name,genre,origin,language,nobel,year,source_path\nA,x\n",
-                    encoding="utf-8")
-    with pytest.raises(ValueError, match=r"m\.csv:2: malformed manifest row"):
+    path.write_text(f"id,name,genre,origin,language,nobel,year,source_path\n{row}\n",
+                    encoding="utf-8", errors="surrogateescape")
+    with pytest.raises(ValueError, match=re.escape(f"m.csv:2: {message}")):
         load_manifest(path)
     assert main(["fit", "--manifest", str(path), "--model", "heaps"]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {path}:2: malformed manifest row")
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: {message}")
+
+
+def test_read_lines_splits_as_open_does_and_locates_bad_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    text = "a\r\nb\rc\nd\x0be\x85f\u2028g\n"  # four lines: only \r, \n and \r\n end one
+    path.write_bytes(text.encode())
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert read_lines(path) == fh.readlines()
+    path.write_bytes(text.encode() + b"h\xe2\x80")  # a character cut short on line 5
+    with pytest.raises(ValueError, match=re.escape(f"{path}:5: not UTF-8 (byte 0xe2 at offset ")):
+        read_lines(path)
 
 
 def test_manifest_missing_columns(tmp_path):

@@ -166,3 +166,41 @@ def test_fit_parameter_file(gettysburg_corpus, capsys, tmp_path, model):
     assert out.endswith(f"\nwrote {params}\n")
     assert _sha256(out.removesuffix(f"wrote {params}\n")) == FIT_SHA256[model], out
     assert _sha256(params.read_text(encoding="utf-8")) == PARAMS_SHA256[model]
+
+
+# The help and usage-error text of the command line at 80 columns: the exit
+# code, and the digest of the one stream written (stdout for help, stderr for
+# a usage error; the other stays empty).
+USAGE_SHA256 = {
+    "--help": (0, "9269750bc24c54b587f91ced7146092dba9dbeef18685a36167d54fd935bebf0"),
+    "analyze --help": (0, "0405a67d64d3d1b57ff1e362a53bdeba3209d3d2c4cfe1005c6d233e696e092c"),
+    "fit --help": (0, "0aab5014d199808e6fdcdfbb4a28d1fb6c35ded11a4a11dc689d0eb267417389"),
+    "tables --help": (0, "24bbbfc613fab7d8a6bb3b41ed4ce61b19c29127b1153a8b3265e906eec7d837"),
+    "plot-data --help": (0, "2513b204c95498b229aa65d9759e3873c97e83bc12021a914714a743caaec510"),
+    "verify --help": (0, "371b9df5b2ba6b4ee53f6b5e0847414f80aee9174e71fe7fc8a5a3a095f5ab13"),
+    "-h verify": (0, "9269750bc24c54b587f91ced7146092dba9dbeef18685a36167d54fd935bebf0"),
+    "": (2, "50406aeaabaa9a9667877951aa4ed02caed3ff3fb92c931b0af63edbec58b7ad"),
+    "--": (2, "50406aeaabaa9a9667877951aa4ed02caed3ff3fb92c931b0af63edbec58b7ad"),
+    "bogus": (2, "6232a9fbde6f7a69351c4f31adc9b361c6207028667bdcab023af35b9a16fe21"),
+    "ver": (2, "bb9342d3e61c17f18c279d581a9e5246cc3620691bec20300701e5637afed4e5"),
+    "verify --bogus": (2, "f3e72ada372a88d28470f8f808ce1781ed70936d4b95d68b836bf51a3f5da604"),
+    "verify --tolerance abc": (2, "f24f0a6e2a8ed37425b6a7002134777c6cb05ee80d58e9198c5783463959a235"),
+    "analyze": (2, "55e7a280008fe4c9fb839f47c272512efc62420c8c0154befe1e739db1dde01d"),
+    "analyze x.txt --lang fr": (2, "0a5d375c74eafa618c1f4a8ae32e6b2cac996257d377a792e9828b06e3a06b8b"),
+    "fit --manifest m.csv": (2, "395aaad40180dce18002ff4433dd3e4f7a303613c39a7e90e89da72e932b7323"),
+    "plot-data --figure nope": (2, "8711ed7ea55dc76abc1e020c93ce1bda6e02789ca881b3afe51ae653b2091490"),
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE_SHA256))
+def test_help_and_usage_error_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main(shlex.split(command))
+    out, err = capsys.readouterr()
+    code, digest = USAGE_SHA256[command]
+    written, silent = (out, err) if code == 0 else (err, out)
+    assert e.value.code == code, out + err
+    assert silent == ""
+    assert _sha256(written) == digest, written
