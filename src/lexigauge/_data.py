@@ -33,8 +33,9 @@ def data_path(name: str) -> Path:
 
 def read_lines(path: str | Path) -> list[str]:
     """The lines of a UTF-8 file, each with its ending, split as
-    open(newline="") splits them: on \\n, \\r and \\r\\n only. Bytes that are
-    not UTF-8 raise ValueError naming the file and the line."""
+    open(newline="") splits them: on \\n, \\r and \\r\\n only. A leading
+    byte-order mark is dropped. Bytes that are not UTF-8 raise ValueError
+    naming the file and the line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -44,7 +45,8 @@ def read_lines(path: str | Path) -> list[str]:
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"{path}:{line}: not UTF-8 (byte 0x{data[exc.start]:02x} at offset "
                          f"{exc.start}: {exc.reason})") from exc
-    return io.StringIO(text, newline="").readlines()
+    # dropped after decoding, so the offsets above count the mark's 3 bytes
+    return io.StringIO(text.removeprefix("\ufeff"), newline="").readlines()
 
 
 def read_table(path: str | Path, columns: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:

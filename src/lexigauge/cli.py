@@ -147,8 +147,8 @@ def cmd_fit(args) -> int:
             for entry, _, p in group:
                 if p.D == 0:
                     lines.append(f"{entry.id}: no symbols to fit")
-                elif 0 < specific_diversity(p) < 1 and entropy(p) > 0:
-                    points.append((specific_diversity(p), entropy(p)))
+                elif 0 < (d := specific_diversity(p)) < 1 and (h := entropy(p)) > 0:
+                    points.append((d, h))
             if len(points) < 2:
                 lines.append(f"{language.value}: insufficient data ({len(points)} usable texts)")
                 continue

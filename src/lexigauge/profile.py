@@ -6,49 +6,64 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from functools import cached_property
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import itemgetter, mul
 
 from .tokenizer import TokenizedText
 
 
 class RankedProfile:
-    """Symbol frequencies ranked in descending order.
+    """Symbol frequencies ranked in descending order, held as their spectrum.
 
-    freqs[r-1] is f_r for rank r; D, L and every measure read freqs only.
-    entries[r-1] is (symbol, f_r). A profile built from a symbol -> count
-    mapping ranks its symbols only when entries is first read. Synthetic
-    profiles with real-valued frequencies are accepted as well, so
-    model-matching reference profiles can be expressed exactly.
+    spectrum is (fs, ks): the distinct frequencies in descending order, and
+    how many ranks have each, so ranks 1..ks[0] have frequency fs[0], the
+    next ks[1] ranks fs[1], and so on. D (the number of ranks), L (the total
+    mass) and every measure read the spectrum only. freqs[r-1] is f_r for
+    rank r and entries[r-1] is (symbol, f_r); both are built when first read,
+    and a profile built from a symbol -> count mapping ranks its symbols only
+    then. Synthetic profiles with real-valued frequencies are accepted as
+    well, so model-matching reference profiles can be expressed exactly.
     """
 
     def __init__(self, entries: tuple[tuple[str, float], ...] = (), counts: dict[str, int] | None = None):
-        if counts is not None:
+        if counts is None:
+            prev = math.inf
+            total = 0
+            for symbol, f in entries:
+                if not f > 0:
+                    raise ValueError(f"frequency of {symbol!r} must be positive, got {f}")
+                if f > prev:
+                    raise ValueError("frequencies must be non-increasing by rank")
+                prev = f
+                total += f
+            self.entries = tuple(entries)
+            freqs = [f for _, f in self.entries]
+        else:
             self._counts = counts
-            self.freqs = tuple(sorted(counts.values(), reverse=True))
-            self.L = sum(self.freqs)
-            return
-        prev = math.inf
-        total = 0
-        for symbol, f in entries:
-            if not f > 0:
-                raise ValueError(f"frequency of {symbol!r} must be positive, got {f}")
-            if f > prev:
-                raise ValueError("frequencies must be non-increasing by rank")
-            prev = f
-            total += f
-        self.entries = tuple(entries)
-        self.freqs = tuple(f for _, f in self.entries)
-        self.L = total
+            freqs = counts.values()
+        runs = Counter(freqs)
+        # lists, not tuples: a tuple freed onto its free list stays counted
+        # towards the next cyclic collection, so tuples run the collector more often
+        fs = sorted(runs, reverse=True)
+        self.spectrum = fs, list(map(runs.__getitem__, fs))
+        self.D = len(freqs)
+        # counts sum exactly by run; real values keep the loop's order of additions
+        self.L = total if counts is None else sum(map(mul, *self.spectrum))
 
     @cached_property
     def entries(self) -> tuple[tuple[str, float], ...]:
         # a stable sort by count keeps the ascending symbol order within ties
         return tuple(sorted(sorted(self._counts.items()), key=itemgetter(1), reverse=True))
 
-    @property
-    def D(self) -> int:
-        return len(self.freqs)
+    @cached_property
+    def freqs(self) -> tuple[float, ...]:
+        return tuple(self.per_rank(self.spectrum[0]))
+
+    def per_rank(self, values):
+        """Iterate values[i] ks[i] times for each run i: one value per rank."""
+        return chain.from_iterable(map(repeat, values, self.spectrum[1]))
 
     @classmethod
     def from_frequencies(cls, freqs) -> "RankedProfile":
@@ -81,9 +96,8 @@ def entropy(p: RankedProfile) -> float:
     if p.D == 1:
         return 0.0
     L = p.L
-    # one term per distinct frequency, summed in rank order
-    terms = {f: (f / L) * math.log2(f / L) for f in set(p.freqs)}
-    bits = -sum(map(terms.__getitem__, p.freqs))
+    # one term per run, summed once per rank in rank order
+    bits = -sum(p.per_rank([(f / L) * math.log2(f / L) for f in p.spectrum[0]]))
     # summation rounding can land an ulp above 1 on uniform profiles
     return min(bits / math.log2(p.D), 1.0)
 

@@ -176,6 +176,27 @@ def test_cli_keeps_the_names_the_benchmark_uses(monkeypatch, capsys):
     assert calls == {"analyze_text": 1, "write_report": 1, "cmd_analyze": 1}
 
 
+def test_analyze_text_calls_the_traced_profile_and_zipf_names(monkeypatch):
+    # The traced benchmark wraps these module attributes; a caller that holds
+    # its own reference to one of them leaves its wrapper reading 0.
+    import lexigauge.pipeline as pipeline
+    import lexigauge.zipf as zipf
+    calls = Counter()
+    points = [(pipeline, name) for name in ("build_profile", "entropy", "specific_diversity",
+                                             "fit_zipf_exponent", "zipf_deviation")]
+    for module, name in points + [(zipf, "zipf_reference")]:
+        def counted(*args, _name=name, _wrapped=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _wrapped(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    path = data_dir() / "texts" / "gettysburg_address.txt"
+    analyze_text(CorpusEntry(id="G", name="Gettysburg", genre=Genre.SPEECH, language=Language.ENGLISH,
+                             origin=Origin.ORIGINAL, nobel=False, source_path=str(path)),
+                 load_language_params()[Language.ENGLISH])
+    assert calls == {"build_profile": 1, "entropy": 1, "specific_diversity": 1,
+                     "fit_zipf_exponent": 1, "zipf_deviation": 1, "zipf_reference": 1}
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["analyze", "x.txt", "--lang", "fr"])
@@ -218,6 +239,18 @@ def test_fit_heaps_from_manifest(synthetic_growth_corpus, capsys):
     beta = float(out.split("beta=")[1].split()[0])
     assert c == pytest.approx(3.766, rel=0.01)
     assert beta == pytest.approx(0.67, rel=0.01)
+
+
+def test_fit_entropy_computes_each_measure_once_per_text(synthetic_growth_corpus, monkeypatch):
+    import lexigauge.cli as cli
+    calls = Counter()
+    for name in ("specific_diversity", "entropy"):
+        def counted(*args, _name=name, _wrapped=getattr(cli, name)):
+            calls[_name] += 1
+            return _wrapped(*args)
+        monkeypatch.setattr(cli, name, counted)
+    assert main(["fit", "--manifest", str(synthetic_growth_corpus), "--model", "entropy"]) == 0
+    assert calls == {"specific_diversity": 5, "entropy": 5}
 
 
 def test_fit_writes_params_file(synthetic_growth_corpus, tmp_path):

@@ -22,6 +22,7 @@ from lexigauge.corpus import (
     load_bundled_tables,
     load_manifest,
     load_reference_table,
+    load_report,
     load_text,
     save_manifest,
     select_group,
@@ -157,6 +158,31 @@ def test_read_lines_splits_as_open_does_and_locates_bad_bytes(tmp_path):
     path.write_bytes(text.encode() + b"h\xe2\x80")  # a character cut short on line 5
     with pytest.raises(ValueError, match=re.escape(f"{path}:5: not UTF-8 (byte 0xe2 at offset ")):
         read_lines(path)
+
+
+def _with_bom(path, tmp_path):
+    twin = tmp_path / f"bom-{path.name}"
+    twin.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return twin
+
+
+def test_byte_order_mark_is_not_part_of_the_first_cell(tmp_path):
+    # spreadsheet programs save UTF-8 files with a leading byte-order mark
+    manifest = tmp_path / "manifest.csv"
+    save_manifest([entry(id="A", name="1863.AbrahamLincoln", year=1863)], manifest)
+    assert load_manifest(_with_bom(manifest, tmp_path)) == load_manifest(manifest)
+    text = tmp_path / "t.txt"
+    text.write_text("the cat and the dog, and a bird.", encoding="utf-8")
+    report = tmp_path / "report.csv"
+    assert main(["analyze", str(text), "--lang", "en", "--out", str(report)]) == 0
+    assert load_report(_with_bom(report, tmp_path)) == load_report(report)
+    table = data_dir() / "english_nobel.csv"
+    assert (load_reference_table(_with_bom(table, tmp_path), Language.ENGLISH, True)
+            == load_reference_table(table, Language.ENGLISH, True))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xef\xbb\xbfa\n\xff\n")  # the offset counts the mark's bytes
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:2: not UTF-8 (byte 0xff at offset 5:")):
+        read_lines(bad)
 
 
 def test_manifest_missing_columns(tmp_path):

@@ -1,8 +1,9 @@
 import math
+from operator import mul
 
 import loop_profile
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexigauge.profile import (
     RankedProfile,
@@ -113,8 +114,27 @@ float_counts = st.dictionaries(
     SYMBOLS, st.sampled_from([0.5, 1.0, 1.25, 3.0, 1e-3, 1 / 3, 1000.75]), min_size=1, max_size=40)
 
 
+# Count maps with hundreds to a few thousand ranks, so the shared rank tables
+# grow between examples: Zipf-like counts, distinct at the head and tied in
+# long runs at the tail, over symbols whose order is not the rank order.
+large_counts = st.builds(
+    lambda D, top, s: {f"w{r * 7919 % D:05d}": max(1, round(top / r ** s)) for r in range(1, D + 1)},
+    st.integers(min_value=200, max_value=3000),
+    st.integers(min_value=1, max_value=5000),
+    st.floats(min_value=0.3, max_value=2.0),
+)
+
+
 def _assert_matches_loops(p, counts):
     entries = loop_profile.loop_entries(counts)
+    fs, ks = p.spectrum
+    assert sum(ks) == p.D
+    assert all(a > b for a, b in zip(fs, fs[1:]))
+    if all(isinstance(f, int) for f in fs):
+        assert sum(map(mul, fs, ks)) == p.L
+    else:  # a float total depends on the order of its additions
+        assert sum(map(mul, fs, ks)) == pytest.approx(p.L, rel=1e-12)
+    assert p.freqs == tuple(f for _, f in entries)
     assert p.entries == entries
     assert p.L == loop_profile.loop_L(entries)
     assert p.D == len(entries)
@@ -127,11 +147,23 @@ def _assert_matches_loops(p, counts):
     assert zipf_deviation(p, g) == loop_profile.loop_zipf_deviation(entries, g)
 
 
+def _built(counts):
+    return build_profile(TokenizedText(counts=counts, L=sum(counts.values()), L_w=0, L_ph=0, L_CH=0))
+
+
 @settings(max_examples=300)
 @given(st.one_of(int_counts, small_counts))
+@example({"a": 7})  # one symbol
+@example({"a": 3, "b": 3, "c": 3, "d": 3})  # one run: all counts equal
+@example({"a": 5, "b": 4, "c": 3, "d": 2, "e": 1})  # every count distinct
 def test_built_profile_matches_the_loops(counts):
-    t = TokenizedText(counts=counts, L=sum(counts.values()), L_w=0, L_ph=0, L_CH=0)
-    _assert_matches_loops(build_profile(t), counts)
+    _assert_matches_loops(_built(counts), counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_counts)
+def test_large_built_profile_matches_the_loops(counts):
+    _assert_matches_loops(_built(counts), counts)
 
 
 @settings(max_examples=300)
@@ -145,6 +177,7 @@ def test_measures_do_not_rank_symbols():
     d, h = specific_diversity(p), entropy(p)
     g = fit_zipf_exponent(p)
     j = zipf_deviation(p, g)
+    assert "freqs" not in vars(p)
     assert (p.D, p.L, p.freqs[1]) == (8, 13, 3)
     assert 0 < d < 1 and 0 < h < 1 and g > 0 and j != 0
     assert "entries" not in vars(p)
