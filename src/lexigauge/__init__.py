@@ -17,7 +17,6 @@ from .corpus import (
     load_manifest,
     load_reference_table,
     load_report,
-    load_text,
     save_manifest,
     select_group,
 )
@@ -50,22 +49,12 @@ from .readability import (
 from .stats import (
     GroupSummary,
     TrendFit,
-    betai,
     linear_regression,
     pearson,
     summarize,
     t_test,
 )
-from .tokenizer import (
-    PHRASE_TERMINATORS,
-    PUNCTUATION,
-    SymbolToken,
-    TokenizedText,
-    TokenKind,
-    count_phrases,
-    estimate_syllables,
-    tokenize,
-)
+from .tokenizer import TokenizedText, tokenize
 from .wqs import (
     StylePoint,
     WqsCoefficients,
@@ -73,7 +62,6 @@ from .wqs import (
     class_center,
     direction_vector,
     load_wqs_presets,
-    preset,
     wqs,
 )
 from .zipf import fit_zipf_exponent, zipf_deviation, zipf_reference
@@ -90,30 +78,23 @@ __all__ = [
     "Language",
     "LanguageParams",
     "Origin",
-    "PHRASE_TERMINATORS",
-    "PUNCTUATION",
     "RankedProfile",
     "ReadabilityInputs",
     "ReferenceRow",
     "StylePoint",
-    "SymbolToken",
     "TextMetrics",
-    "TokenKind",
     "TokenizedText",
     "TrendFit",
     "WqsCoefficients",
     "analyze_corpus",
     "analyze_text",
-    "betai",
     "build_profile",
     "build_scale",
     "class_center",
-    "count_phrases",
     "direction_vector",
     "dump_profile",
     "entropy",
     "entropy_model_predict",
-    "estimate_syllables",
     "fit_entropy_model",
     "fit_heaps",
     "fit_zipf_exponent",
@@ -125,10 +106,8 @@ __all__ = [
     "load_manifest",
     "load_reference_table",
     "load_report",
-    "load_text",
     "load_wqs_presets",
     "pearson",
-    "preset",
     "readability_inputs",
     "relative_diversity",
     "relative_entropy",

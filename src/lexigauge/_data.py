@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
@@ -18,7 +17,7 @@ def data_dir() -> Path:
     override = os.environ.get(ENV_VAR)
     if override:
         return Path(override)
-    return Path(resources.files("lexigauge") / "data")
+    return Path(__file__).with_name("data")
 
 
 def data_path(name: str) -> Path:

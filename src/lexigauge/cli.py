@@ -102,8 +102,8 @@ def cmd_analyze(args) -> int:
 
 
 def _manifest_profiles(manifest_path: str):
-    """(entry, tokenized, profile) triples for every loadable manifest text.
-    A text that cannot be loaded is reported on stderr and skipped."""
+    """(entry, profile) pairs for every loadable manifest text. A text that
+    cannot be loaded is reported on stderr and skipped."""
     out = []
     for entry in load_manifest(manifest_path):
         try:
@@ -112,26 +112,25 @@ def _manifest_profiles(manifest_path: str):
             where = f"{entry.id}: {entry.source_path}" if entry.source_path else entry.id
             print(f"error: {where}: {exc}", file=sys.stderr)
             continue
-        t = tokenize(text)
-        out.append((entry, t, build_profile(t)))
+        out.append((entry, build_profile(tokenize(text))))
     return out
 
 
 def cmd_fit(args) -> int:
     try:
-        triples = _manifest_profiles(args.manifest)
+        pairs = _manifest_profiles(args.manifest)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     by_lang: dict[Language, list] = {}
-    for triple in triples:
-        by_lang.setdefault(triple[0].language, []).append(triple)
+    for entry, p in pairs:
+        by_lang.setdefault(entry.language, []).append((entry, p))
 
     fitted: dict[Language, dict[str, float]] = {}
     lines: list[str] = []
     if args.model == "heaps":
         for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
-            points = [(t.L, p.D) for _, t, p in group]
+            points = [(p.L, p.D) for _, p in group]
             if len(points) < 3 or len({L for L, _ in points}) < 2:
                 lines.append(f"{language.value}: insufficient data ({len(points)} texts)")
                 continue
@@ -144,7 +143,7 @@ def cmd_fit(args) -> int:
     elif args.model == "entropy":
         for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
             points = []
-            for entry, _, p in group:
+            for entry, p in group:
                 if p.D == 0:
                     lines.append(f"{entry.id}: no symbols to fit")
                 elif 0 < (d := specific_diversity(p)) < 1 and (h := entropy(p)) > 0:
@@ -159,7 +158,7 @@ def cmd_fit(args) -> int:
     else:  # zipf: a per-text exponent, reported text by text
         for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
             gs = []
-            for entry, _, p in group:
+            for entry, p in group:
                 if p.D < 3:
                     lines.append(f"{entry.id}: too few ranks to fit ({p.D})")
                     continue

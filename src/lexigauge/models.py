@@ -169,14 +169,12 @@ def fit_entropy_model(points: list[tuple[float, float]]) -> float:
     return e
 
 
-def load_language_params(
-    path: str | None = None,
-    presets_path: str | None = None,
-) -> dict[Language, LanguageParams]:
-    """Load the per-language parameter table (bundled by default) and attach
-    each language's verbatim and reconstructed scale presets."""
-    resolved = path if path is not None else data_path("language_params.csv")
-    presets = load_wqs_presets(presets_path)
+def load_language_params() -> dict[Language, LanguageParams]:
+    """Load the bundled per-language parameter table (LEXIGAUGE_PRESET_DIR
+    overrides the directory) and attach each language's verbatim and
+    reconstructed scale presets."""
+    resolved = data_path("language_params.csv")
+    presets = load_wqs_presets()
     out: dict[Language, LanguageParams] = {}
     for line, (language, *values) in read_table(resolved, PARAM_COLUMNS):
         try:
@@ -184,8 +182,8 @@ def load_language_params(
             code = language.code.lower()
             out[language] = LanguageParams(
                 language, *map(float, values),
-                wqs_preset=presets.get(f"verbatim-{code}"),
-                wqs_reconstructed=presets.get(f"reconstructed-{code}"),
+                wqs_preset=presets[f"verbatim-{code}"],
+                wqs_reconstructed=presets[f"reconstructed-{code}"],
             )
         except ValueError as exc:
             raise ValueError(f"{resolved}:{line}: bad params row: {exc}") from exc

@@ -20,11 +20,11 @@ class RankedProfile:
     spectrum is (fs, ks): the distinct frequencies in descending order, and
     how many ranks have each, so ranks 1..ks[0] have frequency fs[0], the
     next ks[1] ranks fs[1], and so on. D (the number of ranks), L (the total
-    mass) and every measure read the spectrum only. freqs[r-1] is f_r for
-    rank r and entries[r-1] is (symbol, f_r); both are built when first read,
-    and a profile built from a symbol -> count mapping ranks its symbols only
-    then. Synthetic profiles with real-valued frequencies are accepted as
-    well, so model-matching reference profiles can be expressed exactly.
+    mass) and every measure read the spectrum only. entries[r-1] is
+    (symbol, f_r) for rank r; it is built when first read, and a profile
+    built from a symbol -> count mapping ranks its symbols only then.
+    Synthetic profiles with real-valued frequencies are accepted as well, so
+    model-matching reference profiles can be expressed exactly.
     """
 
     def __init__(self, entries: tuple[tuple[str, float], ...] = (), counts: dict[str, int] | None = None):
@@ -56,10 +56,6 @@ class RankedProfile:
     def entries(self) -> tuple[tuple[str, float], ...]:
         # a stable sort by count keeps the ascending symbol order within ties
         return tuple(sorted(sorted(self._counts.items()), key=itemgetter(1), reverse=True))
-
-    @cached_property
-    def freqs(self) -> tuple[float, ...]:
-        return tuple(self.per_rank(self.spectrum[0]))
 
     def per_rank(self, values):
         """Iterate values[i] ks[i] times for each run i: one value per rank."""

@@ -92,7 +92,8 @@ def wqs(coeffs: WqsCoefficients, point: StylePoint) -> float:
 def load_wqs_presets(path: str | None = None) -> dict[str, WqsCoefficients]:
     """Presets from a `label,origin_d,origin_h,origin_j,w_d,w_h,w_j` file.
     Defaults to the bundled file (LEXIGAUGE_PRESET_DIR overrides the
-    directory)."""
+    directory). The file must carry the verbatim and reconstructed preset of
+    each language; one missing raises ValueError naming the file and label."""
     resolved = path if path is not None else data_path("wqs_presets.csv")
     presets: dict[str, WqsCoefficients] = {}
     columns = ("label", "origin_d", "origin_h", "origin_j", "w_d", "w_h", "w_j")
@@ -103,11 +104,7 @@ def load_wqs_presets(path: str | None = None) -> dict[str, WqsCoefficients]:
             presets[label] = WqsCoefficients(StylePoint(*floats[:3]), StylePoint(*floats[3:]), label)
         except ValueError as exc:
             raise ValueError(f"{resolved}:{line}: bad preset row {label!r}: {exc}") from exc
+    for label in ("verbatim-en", "verbatim-es", "reconstructed-en", "reconstructed-es"):
+        if label not in presets:
+            raise ValueError(f"{resolved}: no preset {label!r}")
     return presets
-
-
-def preset(label: str, path: str | None = None) -> WqsCoefficients:
-    presets = load_wqs_presets(path)
-    if label not in presets:
-        raise KeyError(f"no preset {label!r}; available: {sorted(presets)}")
-    return presets[label]

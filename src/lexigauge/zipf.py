@@ -41,8 +41,7 @@ def zipf_deviation(p: RankedProfile, g: float) -> float:
     """J_{1,D} = (L_{1,D} - Z_{1,D}) / Z_{1,D}, the relative excess of the
     observed mass over the Zipf reference with exponent g."""
     z = zipf_reference(p, g)
-    # a per-rank sum, not p.L: on 3.12+ it compensates rounding, as the loop oracle's does
-    return (sum(p.per_rank(p.spectrum[0])) - z) / z
+    return (p.L - z) / z
 
 
 def fit_zipf_exponent(p: RankedProfile) -> float:

@@ -43,4 +43,4 @@ def loop_zipf_reference(f_a: float, g: float, a: int, b: int) -> float:
 
 def loop_zipf_deviation(entries, g: float) -> float:
     z = loop_zipf_reference(entries[0][1], g, 1, len(entries))
-    return (sum(f for _, f in entries) - z) / z
+    return (loop_L(entries) - z) / z

@@ -633,6 +633,25 @@ def test_malformed_parameter_file_names_its_line(work, synthetic_growth_corpus, 
     assert f"{work / name}:{line}: " in captured.out + captured.err
 
 
+@pytest.mark.parametrize("label", ["verbatim-en", "reconstructed-en"])
+@pytest.mark.parametrize("command", ["analyze", "verify", "verify-dir"])
+def test_preset_file_missing_a_label_names_it(work, monkeypatch, capsys, label, command):
+    presets = work / "wqs_presets.csv"
+    lines = presets.read_text(encoding="utf-8").splitlines(keepends=True)
+    presets.write_text("".join(line for line in lines if not line.startswith(f"{label},")),
+                       encoding="utf-8")
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
+    argv = {
+        "analyze": ["analyze", str(data_dir() / "texts" / "gettysburg_address.txt"), "--lang", "en"],
+        "verify": ["verify"],
+        "verify-dir": ["verify", "--reference-dir", str(work)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{presets}: no preset {label!r}\n" in captured.out + captured.err
+
+
 def test_analyze_without_parameters_for_its_language(work, monkeypatch, capsys):
     text = str(data_dir() / "texts" / "gettysburg_address.txt")
     _edit(work / "language_params.csv", "Spanish,", "English,")
@@ -641,18 +660,32 @@ def test_analyze_without_parameters_for_its_language(work, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: language_params.csv has no Spanish row\n"
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
 def test_only_verify_imports_hashlib(sample_texts):
     # the row digests are verify's alone, so the import and the other
     # commands start without loading _hashlib
     probe = ("import sys; from lexigauge.cli import main; sys.argv[1:] and main(sys.argv[1:]); "
              "print(any(m in sys.modules for m in ('hashlib', '_hashlib')), file=sys.stderr)")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     for argv, loaded in (([], "False"),
                          (["analyze", str(sample_texts[0]), "--lang", "en"], "False"),
                          (["tables"], "False"),
                          (["verify"], "True")):
-        result = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+        result = subprocess.run([sys.executable, "-c", probe, *argv], env=_src_env(),
                                 capture_output=True, text=True, timeout=120)
         assert result.stderr.splitlines()[-1] == loaded, (argv, result.stderr)
+
+
+def test_the_import_leaves_importlib_resources_out():
+    # the data directory is found beside the package; -S keeps the .pth files
+    # of site-packages from importing importlib.resources first
+    probe = "import sys, lexigauge.cli; print('importlib.resources' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=_src_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout == "False\n", result.stderr

@@ -21,7 +21,6 @@ def test_build_profile_ranks_by_frequency():
     assert p.entries == (("b", 3), ("a", 2), ("c", 1))
     assert p.D == 3
     assert p.L == 6
-    assert p.freqs == (3, 2, 1)
 
 
 def test_tie_break_is_by_symbol():
@@ -134,7 +133,6 @@ def _assert_matches_loops(p, counts):
         assert sum(map(mul, fs, ks)) == p.L
     else:  # a float total depends on the order of its additions
         assert sum(map(mul, fs, ks)) == pytest.approx(p.L, rel=1e-12)
-    assert p.freqs == tuple(f for _, f in entries)
     assert p.entries == entries
     assert p.L == loop_profile.loop_L(entries)
     assert p.D == len(entries)
@@ -177,8 +175,7 @@ def test_measures_do_not_rank_symbols():
     d, h = specific_diversity(p), entropy(p)
     g = fit_zipf_exponent(p)
     j = zipf_deviation(p, g)
-    assert "freqs" not in vars(p)
-    assert (p.D, p.L, p.freqs[1]) == (8, 13, 3)
+    assert (p.D, p.L, p.spectrum) == (8, 13, ([3, 2, 1], [2, 1, 5]))
     assert 0 < d < 1 and 0 < h < 1 and g > 0 and j != 0
     assert "entries" not in vars(p)
     assert p.entries[0] == ("and", 3)

@@ -11,7 +11,6 @@ from lexigauge.wqs import (
     class_center,
     direction_vector,
     load_wqs_presets,
-    preset,
     wqs,
 )
 
@@ -163,12 +162,6 @@ def test_reconstructed_presets_are_rebuilt_from_centers(presets):
     assert (es.weights.d_rel, es.weights.h_rel, es.weights.j) == pytest.approx(
         (5.593741015359029, -1.1828592700631309, -5.008603238460385), abs=1e-6
     )
-
-
-def test_preset_lookup(presets):
-    assert preset("verbatim-en").label == "verbatim-en"
-    with pytest.raises(KeyError):
-        preset("verbatim-fr")
 
 
 def test_coefficients_validation():
