@@ -6,6 +6,8 @@ into a writing quality scale. Ships reference tables with recorded
 verification targets and a command-line interface over the whole pipeline.
 """
 
+import types as _types
+
 from .corpus import (
     CorpusEntry,
     Genre,
@@ -68,58 +70,7 @@ from .zipf import fit_zipf_exponent, zipf_deviation, zipf_reference
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisError",
-    "C_SY_ALTERNATES",
-    "CorpusEntry",
-    "Genre",
-    "GroupKey",
-    "GroupSummary",
-    "Language",
-    "LanguageParams",
-    "Origin",
-    "RankedProfile",
-    "ReadabilityInputs",
-    "ReferenceRow",
-    "StylePoint",
-    "TextMetrics",
-    "TokenizedText",
-    "TrendFit",
-    "WqsCoefficients",
-    "analyze_corpus",
-    "analyze_text",
-    "build_profile",
-    "build_scale",
-    "class_center",
-    "direction_vector",
-    "dump_profile",
-    "entropy",
-    "entropy_model_predict",
-    "fit_entropy_model",
-    "fit_heaps",
-    "fit_zipf_exponent",
-    "heaps_predict",
-    "ipsz",
-    "linear_regression",
-    "load_bundled_tables",
-    "load_language_params",
-    "load_manifest",
-    "load_reference_table",
-    "load_report",
-    "load_wqs_presets",
-    "pearson",
-    "readability_inputs",
-    "relative_diversity",
-    "relative_entropy",
-    "res",
-    "save_manifest",
-    "score",
-    "select_group",
-    "specific_diversity",
-    "summarize",
-    "t_test",
-    "tokenize",
-    "wqs",
-    "zipf_deviation",
-    "zipf_reference",
-]
+# every public name imported above; the submodules are attributes too, so
+# modules are left out (hence the private alias of `types`)
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

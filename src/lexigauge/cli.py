@@ -47,14 +47,23 @@ from .zipf import fit_zipf_exponent
 
 
 def _open_out(out: str | None):
-    """The stream to write to: the file out, opened (and closed on exit), or stdout."""
-    return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
+    """The stream to write to: the file out, opened (and closed on exit), or
+    stdout. None, with the error on stderr, when out cannot be opened."""
+    if out is None:
+        return nullcontext(sys.stdout)
+    try:
+        return open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"error: {out}: {exc.strerror or exc}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------- analyze
 
 
 def cmd_analyze(args) -> int:
+    if args.zipf_g is not None and not math.isfinite(args.zipf_g):
+        print("error: --zipf-g must be finite", file=sys.stderr)
+        return 2
     language = Language.parse(args.lang)
     try:
         params = load_language_params().get(language)
@@ -90,12 +99,13 @@ def cmd_analyze(args) -> int:
         except AnalysisError as exc:
             failed[type(exc.cause).__name__] += 1
             print(f"error: {path}: {exc.cause}", file=sys.stderr)
-    with _open_out(args.out) as stream:
-        write_report(records, args.format, stream)
+    if (out := _open_out(args.out)) is not None:
+        with out as stream:
+            write_report(records, args.format, stream)
     causes = ", ".join(f"{n} {cause}" for cause, n in sorted(failed.items()))
     print(f"analyzed {len(records)}, failed {failed.total()}" + (f" ({causes})" if failed else ""),
           file=sys.stderr)
-    return 1 if failed and not records else 0
+    return 1 if out is None or (failed and not records) else 0
 
 
 # -------------------------------------------------------------------- fit
@@ -117,6 +127,9 @@ def _manifest_profiles(manifest_path: str):
 
 
 def cmd_fit(args) -> int:
+    if args.out and args.model == "zipf":
+        print("error: --out writes model parameters; use --model heaps or entropy", file=sys.stderr)
+        return 2
     try:
         pairs = _manifest_profiles(args.manifest)
     except (OSError, ValueError) as exc:
@@ -175,14 +188,16 @@ def cmd_fit(args) -> int:
         print("error: no group had enough data to fit", file=sys.stderr)
         return 1
 
-    if args.out and args.model in ("heaps", "entropy"):
+    if args.out:
         try:
             defaults = load_language_params()
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+        if (out := _open_out(args.out)) is None:
+            return 1
+        with out as stream:
+            writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(PARAM_COLUMNS)
             for language, params in sorted(defaults.items(), key=lambda kv: kv[0].value):
                 fit = fitted.get(language, {})
@@ -268,6 +283,8 @@ def _log_spaced(lo: float, hi: float, n: int = 100) -> list[float]:
     return [math.exp(math.log(lo) + i * step) for i in range(n)]
 
 
+# table figures label all rows by language and laureate status (53/103/35/123 rows); the
+# groups of tables and verify keep speeches and the laureates' originals only (37/101/19/117)
 _GROUP_LABELS = {(key.language, key.nobel): label for label, key in targets.GROUPS.items()}
 
 
@@ -316,7 +333,9 @@ def cmd_plotdata(args) -> int:
     series = sorted({r[0] for r in rows})
     comments.append(f"# series: {', '.join(series) if series else '(none)'}")
 
-    with _open_out(args.out) as stream:
+    if (out := _open_out(args.out)) is None:
+        return 1
+    with out as stream:
         stream.writelines(line + "\n" for line in comments)
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["series", *figure.header])

@@ -30,8 +30,8 @@ class LanguageParams:
     heaps_beta: float
     entropy_exponent: float
     c_sy: float
-    wqs_preset: WqsCoefficients | None = None
-    wqs_reconstructed: WqsCoefficients | None = None
+    wqs_preset: WqsCoefficients
+    wqs_reconstructed: WqsCoefficients
 
     def __post_init__(self):
         if not self.heaps_c > 0:

@@ -62,8 +62,6 @@ def analyze_text(
     fewer than 3 ranks carry no usable slope information, so g falls back
     to 0 there (the deviation j is then measured against a flat reference).
     """
-    if params.wqs_preset is None or params.wqs_reconstructed is None:
-        raise ValueError("params carry no scale presets; load them via load_language_params")
     try:
         raw = text if text is not None else load_text(entry)
         t = tokenize(raw)

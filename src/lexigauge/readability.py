@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .models import LanguageParams
-from .tokenizer import TokenizedText, count_phrases, estimate_syllables
+from .tokenizer import TokenizedText
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,12 @@ C_SY_ALTERNATES = {
 
 
 def readability_inputs(t: TokenizedText, params: LanguageParams) -> ReadabilityInputs:
-    """W = (L_CH / c_sy) / L_w and S = L_w / phrases, with the phrase count
-    floored at 1 so unterminated text still scores."""
+    """W = (L_CH / c_sy) / L_w, the estimated syllables per word, and
+    S = L_w / L_ph, with the phrase count floored at 1 so text without a
+    terminator still scores."""
     if t.L_w == 0:
         raise ValueError("readability undefined for a text with no words")
-    syllables = estimate_syllables(t, params.c_sy)
-    return ReadabilityInputs(W=syllables / t.L_w, S=t.L_w / count_phrases(t))
+    return ReadabilityInputs(W=t.L_CH / params.c_sy / t.L_w, S=t.L_w / max(t.L_ph, 1))
 
 
 def res(inputs: ReadabilityInputs) -> float:

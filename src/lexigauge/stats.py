@@ -27,7 +27,6 @@ class GroupSummary:
 class TrendFit:
     slope: float
     intercept: float
-    n: int
 
 
 def summarize(values: list[float]) -> GroupSummary:
@@ -169,4 +168,4 @@ def linear_regression(x: list[float], y: list[float]) -> TrendFit:
         raise ValueError("regression undefined when all x values are equal")
     sxy = sum((xv - mx) * (yv - my) for xv, yv in zip(x, y))
     slope = sxy / sxx
-    return TrendFit(slope=slope, intercept=my - slope * mx, n=n)
+    return TrendFit(slope=slope, intercept=my - slope * mx)

@@ -133,7 +133,7 @@ RECORDED_DIRECTIONS = {
 }
 RECORDED_SCALE_FACTORS = {"en": 8.083, "es": 7.601}
 
-GROUP_SIZES = {"en-nobel": 37, "en-non": 101, "es-nobel": 19, "es-non": 117}
+GROUP_SIZES = {label: n for label, (n, _, _) in RECORDED_GROUP_STATS["d_rel"].items()}
 
 # Base tolerances at --tolerance 1.0.
 TOL_GROUP_CELL = 0.005      # absolute, mean/std of the style coordinates

@@ -59,8 +59,9 @@ class TokenizedText:
     no meaning (punctuation marks come first, symbols re-counted through the
     regex last), and nothing downstream reads it. L is the total symbol
     count, L_w the word count, L_ph the raw count of phrase-terminator tokens
-    (no floor applied; see count_phrases), and L_CH the number of characters
-    inside word tokens. normalized is the text the symbols were read from.
+    (no floor applied; see readability_inputs), and L_CH the number of
+    characters inside word tokens. normalized is the text the symbols were
+    read from.
     """
     counts: dict[str, int]
     L: int
@@ -124,18 +125,3 @@ def tokenize(raw: str) -> TokenizedText:
         # each of the L - L_w punctuation marks is one character long
         L_CH=sum(map(mul, map(len, counts), counts.values())) - (L - L_w), normalized=text)
 
-
-def count_phrases(t: TokenizedText) -> int:
-    """Phrase count used for words-per-phrase: floored at 1 for non-empty text
-    so the ratio S = L_w / L_ph stays defined for terminator-free fragments."""
-    if t.L_w == 0:
-        return t.L_ph
-    return max(t.L_ph, 1)
-
-
-def estimate_syllables(t: TokenizedText, c_sy: float) -> float:
-    """Estimated syllable count: word characters divided by the per-language
-    average characters-per-syllable constant."""
-    if c_sy <= 0:
-        raise ValueError(f"c_sy must be positive, got {c_sy}")
-    return t.L_CH / c_sy

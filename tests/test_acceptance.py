@@ -20,9 +20,11 @@ from lexigauge.readability import ReadabilityInputs, ipsz, res
 from lexigauge.stats import linear_regression, t_test
 from lexigauge.targets import (
     DOCUMENTED_DIVERGENCES,
+    E1_SCALE_CHECK,
     GROUPS,
     RECORDED_DIRECTIONS,
     RECORDED_GROUP_STATS,
+    RECORDED_SCALE_FACTORS,
     RECORDED_SCALE_STATS,
     TOL_GROUP_CELL,
     recompute,
@@ -184,7 +186,7 @@ def test_criterion_08_t_test_plumbing():
 def test_criterion_09_scale_preset_consistency(capsys):
     presets = load_wqs_presets()
     scales = {}
-    for code, rec_scale in (("en", 8.083), ("es", 7.601)):
+    for code, rec_scale in RECORDED_SCALE_FACTORS.items():
         coeffs = presets[f"verbatim-{code}"]
         weights = (coeffs.weights.d_rel, coeffs.weights.h_rel, coeffs.weights.j)
         ratios = [w / d for w, d in zip(weights, RECORDED_DIRECTIONS[code])]
@@ -209,12 +211,12 @@ def test_criterion_09_scale_preset_consistency(capsys):
             assert wqs(coeffs, StylePoint(p.d_rel, p.h_rel + bump, p.j)) < wqs(coeffs, p)
             assert wqs(coeffs, StylePoint(p.d_rel, p.h_rel, p.j + bump)) < wqs(coeffs, p)
 
-    e1 = wqs(presets["verbatim-en"], StylePoint(-0.1684, 0.0049, -0.1156))
-    assert abs(e1 - 0.0904) <= 0.0005
+    e1 = wqs(presets["verbatim-en"], StylePoint(*E1_SCALE_CHECK["point"]))
+    assert abs(e1 - E1_SCALE_CHECK["expected"]) <= E1_SCALE_CHECK["tolerance"]
 
     assert cli_main(["verify"]) == 0
     out_lines = capsys.readouterr().out.splitlines()
-    e1_lines = [l for l in out_lines if "0.6114" in l]
+    e1_lines = [l for l in out_lines if str(E1_SCALE_CHECK["recorded_column_value"]) in l]
     assert e1_lines and all(l.startswith("INFO") for l in e1_lines)
     assert not any(l.startswith("FAIL") for l in out_lines)
     print(f"criterion 9: weight/direction scale factors {scales['en']:.4f} (en) and "

@@ -125,6 +125,14 @@ def test_analyze_zipf_override(sample_texts, tmp_path):
     assert load_report(out)[0]["g"] == 1.0
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_analyze_rejects_a_non_finite_zipf_exponent(sample_texts, capsys, value):
+    a, _ = sample_texts
+    assert main(["analyze", str(a), "--lang", "en", "--zipf-g", value]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --zipf-g must be finite\n")
+
+
 def test_analyze_unknown_preset(sample_texts, tmp_path):
     a, _ = sample_texts
     assert main(["analyze", str(a), "--lang", "en", "--preset", "bogus"]) == 2
@@ -262,6 +270,31 @@ def test_fit_writes_params_file(synthetic_growth_corpus, tmp_path):
     assert float(rows["English"]["heaps_c"]) == pytest.approx(3.766, rel=0.01)
     # spanish keeps its bundled defaults
     assert float(rows["Spanish"]["heaps_c"]) == 2.3
+
+
+def test_fit_zipf_with_out_is_a_usage_error(tmp_path, capsys):
+    # exit 2, not the 1 of a missing manifest: the manifest is never read
+    out = tmp_path / "params.csv"
+    assert main(["fit", "--manifest", str(tmp_path / "m.csv"), "--model", "zipf",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --out ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{text}", "--lang", "en"],
+    ["plot-data", "--figure", "wqs-plane"],
+    ["fit", "--manifest", "{manifest}", "--model", "entropy"],
+], ids=lambda argv: argv[0])
+def test_an_unwritable_out_is_named(sample_texts, synthetic_growth_corpus, tmp_path, capsys,
+                                    argv):
+    target = tmp_path / "missing" / "x.csv"
+    argv = [arg.format(text=sample_texts[0], manifest=synthetic_growth_corpus) for arg in argv]
+    assert main([*argv, "--out", str(target)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert f"error: {target}: No such file or directory" in err
+    assert not target.parent.exists()
 
 
 def test_fit_single_text_manifest(tmp_path):

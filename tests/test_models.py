@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lexigauge.corpus import Language
 from lexigauge.models import (
-    LanguageParams,
     _normal_step,
     entropy_model_predict,
     fit_entropy_model,
@@ -36,19 +36,20 @@ def test_bundled_parameter_values(params):
     es = params[Language.SPANISH]
     assert (en.heaps_c, en.heaps_beta, en.entropy_exponent, en.c_sy) == (3.766, 0.67, 0.1523, 3.57)
     assert (es.heaps_c, es.heaps_beta, es.entropy_exponent, es.c_sy) == (2.3, 0.75, 0.1763, 2.94)
-    assert en.wqs_preset is not None and en.wqs_preset.label == "verbatim-en"
-    assert es.wqs_preset is not None and es.wqs_preset.label == "verbatim-es"
+    assert en.wqs_preset.label == "verbatim-en"
+    assert es.wqs_preset.label == "verbatim-es"
 
 
-def test_params_validation():
+def test_params_validation(params):
+    en = params[Language.ENGLISH]
     with pytest.raises(ValueError):
-        LanguageParams(Language.ENGLISH, heaps_c=0, heaps_beta=0.5, entropy_exponent=0.2, c_sy=3.0)
+        dataclasses.replace(en, heaps_c=0)
     with pytest.raises(ValueError):
-        LanguageParams(Language.ENGLISH, heaps_c=1, heaps_beta=1.0, entropy_exponent=0.2, c_sy=3.0)
+        dataclasses.replace(en, heaps_beta=1.0)
     with pytest.raises(ValueError):
-        LanguageParams(Language.ENGLISH, heaps_c=1, heaps_beta=0.5, entropy_exponent=1.0, c_sy=3.0)
+        dataclasses.replace(en, entropy_exponent=1.0)
     with pytest.raises(ValueError):
-        LanguageParams(Language.ENGLISH, heaps_c=1, heaps_beta=0.5, entropy_exponent=0.2, c_sy=0.0)
+        dataclasses.replace(en, c_sy=0.0)
 
 
 def test_heaps_predictions(params):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +42,22 @@ def test_one_word_text(en_params):
     inputs = readability_inputs(tokenize("hi."), en_params)
     assert inputs.W == pytest.approx(0.56, abs=0.005)
     assert inputs.S == 1.0
+
+
+def test_phrase_count_floor(en_params):
+    t = tokenize("no terminator here")
+    assert t.L_ph == 0
+    assert readability_inputs(t, en_params).S == 3.0
+    assert readability_inputs(tokenize("one. two."), en_params).S == 1.0
+
+
+def test_syllable_estimate(en_params):
+    params = dataclasses.replace(en_params, c_sy=3.0)
+    assert readability_inputs(tokenize("abcdef"), params).W == pytest.approx(2.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(en_params, c_sy=0.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(en_params, c_sy=-1.0)
 
 
 def test_empty_text_is_an_error(en_params):

@@ -104,7 +104,6 @@ def test_linear_regression_exact_line():
     fit = linear_regression(x, [3 * v - 5 for v in x])
     assert fit.slope == pytest.approx(3.0, abs=1e-12)
     assert fit.intercept == pytest.approx(-5.0, abs=1e-12)
-    assert fit.n == 4
 
 
 def test_linear_regression_hand_case():

@@ -2,7 +2,6 @@ import re
 import sys
 from collections import Counter
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 from loop_tokenizer import loop_tokenize
 
@@ -11,8 +10,6 @@ from lexigauge.tokenizer import (
     PHRASE_TERMINATORS,
     PUNCTUATION,
     TokenKind,
-    count_phrases,
-    estimate_syllables,
     tokenize,
 )
 
@@ -79,24 +76,6 @@ def test_unlisted_marks_separate():
 def test_empty_text():
     t = tokenize("")
     assert t.L == t.L_w == t.L_ph == t.L_CH == 0
-    assert count_phrases(t) == 0
-
-
-def test_phrase_count_floor():
-    t = tokenize("no terminator here")
-    assert t.L_ph == 0
-    assert count_phrases(t) == 1
-    t2 = tokenize("one. two.")
-    assert count_phrases(t2) == 2
-
-
-def test_syllable_estimate():
-    t = tokenize("abcdef")
-    assert estimate_syllables(t, 3.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        estimate_syllables(t, 0.0)
-    with pytest.raises(ValueError):
-        estimate_syllables(t, -1.0)
 
 
 def test_terminator_set_is_subset_of_punctuation():
