@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -257,14 +258,15 @@ def select_group(rows: list[ReferenceRow], key: GroupKey) -> list[ReferenceRow]:
 
 
 def load_text(entry: CorpusEntry) -> str:
-    """Raw UTF-8 text for an entry. Missing-path, missing-file, and bad-bytes
-    problems raise distinct error types; the callers name the entry and path."""
+    """Raw UTF-8 text for an entry, line endings untranslated. Missing-path,
+    missing-file, and bad-bytes problems raise distinct error types; the
+    callers name the entry and path."""
     if not entry.source_path:
         raise ValueError("no source text")
-    path = Path(entry.source_path)
-    if not path.is_file():
+    if not os.path.isfile(entry.source_path):  # a directory or a FIFO too
         raise FileNotFoundError("source text not found")
-    return path.read_text(encoding="utf-8")
+    with open(entry.source_path, "rb") as fh:
+        return fh.read().decode("utf-8")
 
 
 SCHEMA = "lexigauge-report-v1"
@@ -312,13 +314,15 @@ def write_report(records: list[TextMetrics], fmt: str, stream) -> None:
 
 
 def load_report(path: str | Path) -> list[dict]:
-    """Parse an analysis report written by write_report back into
-    typed records (ints for counts, floats for metrics). `#` lines before the
-    header are comments. A malformed row raises ValueError naming its line."""
+    """Parse a csv report written by write_report back into typed records
+    (ints for counts, floats for metrics). `#` lines before the header are
+    comments. A malformed row or a jsonl report raises ValueError."""
     records: list[dict] = []
     reader, comments = _read_csv(path)
     if reader.fieldnames is None:
         return records
+    if reader.fieldnames[0].startswith("{"):
+        raise ValueError(f"{path}: a jsonl report; only the csv form (analyze --format csv) is read")
     missing = [c for c in REPORT_COLUMNS if c not in reader.fieldnames]
     if missing:
         raise ValueError(f"{path}: report missing columns {missing}")

@@ -57,10 +57,6 @@ class RankedProfile:
         # a stable sort by count keeps the ascending symbol order within ties
         return tuple(sorted(sorted(self._counts.items()), key=itemgetter(1), reverse=True))
 
-    def per_rank(self, values):
-        """Iterate values[i] ks[i] times for each run i: one value per rank."""
-        return chain.from_iterable(map(repeat, values, self.spectrum[1]))
-
     @classmethod
     def from_frequencies(cls, freqs) -> "RankedProfile":
         """Profile over anonymous symbols, one per frequency. Frequencies must
@@ -91,9 +87,9 @@ def entropy(p: RankedProfile) -> float:
         raise ValueError("entropy undefined for an empty profile")
     if p.D == 1:
         return 0.0
-    L = p.L
+    L, (fs, ks) = p.L, p.spectrum
     # one term per run, summed once per rank in rank order
-    bits = -sum(p.per_rank([(f / L) * math.log2(f / L) for f in p.spectrum[0]]))
+    bits = -sum(chain.from_iterable(map(repeat, [(f / L) * math.log2(f / L) for f in fs], ks)))
     # summation rounding can land an ulp above 1 on uniform profiles
     return min(bits / math.log2(p.D), 1.0)
 

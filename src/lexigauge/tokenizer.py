@@ -60,8 +60,8 @@ class TokenizedText:
     regex last), and nothing downstream reads it. L is the total symbol
     count, L_w the word count, L_ph the raw count of phrase-terminator tokens
     (no floor applied; see readability_inputs), and L_CH the number of
-    characters inside word tokens. normalized is the text the symbols were
-    read from.
+    characters of the lower-cased words ("İ" counts 2: "i" and a combining
+    dot). normalized is the text the symbols were read from.
     """
     counts: dict[str, int]
     L: int

@@ -133,6 +133,18 @@ def test_analyze_rejects_a_non_finite_zipf_exponent(sample_texts, capsys, value)
     assert (captured.out, captured.err) == ("", "error: --zipf-g must be finite\n")
 
 
+@pytest.mark.parametrize("value", ["-400", "400", "-150"])
+def test_analyze_names_an_out_of_range_zipf_exponent(capsys, value):
+    # the reference mass of the bundled text overflows; that is one data error,
+    # not a raw float message
+    path = data_dir() / "texts" / "gettysburg_address.txt"
+    assert main(["analyze", str(path), "--lang", "en", "--zipf-g", value]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2  # the report's schema line and header
+    assert captured.err == (f"error: {path}: Zipf reference mass for g={float(value)} over D=142 "
+                            "ranks is out of floating-point range\nanalyzed 0, failed 1 (1 ValueError)\n")
+
+
 def test_analyze_unknown_preset(sample_texts, tmp_path):
     a, _ = sample_texts
     assert main(["analyze", str(a), "--lang", "en", "--preset", "bogus"]) == 2
@@ -426,6 +438,16 @@ def test_plot_data_bad_report_cell_names_its_line(sample_texts, tmp_path, capsys
     assert main(["plot-data", "--figure", "diversity", "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {report}:{header + 3}: ") and message in err
+
+
+def test_plot_data_names_a_jsonl_report(sample_texts, tmp_path, capsys):
+    a, _ = sample_texts
+    report = tmp_path / "r.jsonl"
+    main(["analyze", str(a), "--lang", "en", "--format", "jsonl", "--out", str(report)])
+    capsys.readouterr()
+    assert main(["plot-data", "--figure", "diversity", "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {report}: a jsonl report; only the csv form (analyze --format csv) is read\n")
 
 
 def test_plot_data_missing_report(tmp_path, capsys):

@@ -286,6 +286,14 @@ def test_load_text_roundtrip(tmp_path):
     assert load_text(entry(source_path=str(p))) == "three little words"
 
 
+def test_load_text_reads_the_file_as_stored(tmp_path):
+    with pytest.raises(FileNotFoundError, match="source text not found"):
+        load_text(entry(source_path=str(tmp_path)))  # a directory is no text
+    p = tmp_path / "crlf.txt"
+    p.write_bytes("one\r\ntwo İ\r".encode("utf-8"))
+    assert load_text(entry(source_path=str(p))) == "one\r\ntwo İ\r"
+
+
 def test_language_parse():
     assert Language.parse("EN") is Language.ENGLISH
     assert Language.parse("spanish") is Language.SPANISH

@@ -140,9 +140,20 @@ def _assert_matches_loops(p, counts):
     g = 0.0
     if p.D >= 3:
         g = fit_zipf_exponent(p)
-        assert g == loop_profile.loop_fit_zipf_exponent(entries)
-    assert zipf_reference(p, g) == loop_profile.loop_zipf_reference(entries[0][1], g, 1, p.D)
-    assert zipf_deviation(p, g) == loop_profile.loop_zipf_deviation(entries, g)
+        loop_g = loop_profile.loop_fit_zipf_exponent(entries)  # summed in another order
+        assert abs(g - loop_g) <= 1e-12 * abs(loop_g)
+    _assert_zipf_mass_matches_the_loops(p, entries, g)
+
+
+def _assert_zipf_mass_matches_the_loops(p, entries, g):
+    # for 0 < g <= 3 and D > 24 the reference mass takes ranks 12..D in closed
+    # form, so it and j agree with the loops to a bound, not bit for bit
+    z = zipf_reference(p, g)
+    loop_z = loop_profile.loop_zipf_reference(entries[0][1], g, 1, p.D)
+    assert abs(z - loop_z) <= 1e-12 * loop_z
+    j = zipf_deviation(p, g)
+    loop_j = loop_profile.loop_zipf_deviation(entries, g)
+    assert abs(j - loop_j) <= 1e-12 * max(1.0, abs(loop_j))
 
 
 def _built(counts):
@@ -154,8 +165,49 @@ def _built(counts):
 @example({"a": 7})  # one symbol
 @example({"a": 3, "b": 3, "c": 3, "d": 3})  # one run: all counts equal
 @example({"a": 5, "b": 4, "c": 3, "d": 2, "e": 1})  # every count distinct
+@example({f"w{r:02d}": 30 - r for r in range(24)})  # D = 24: the reference mass per rank
+@example({f"w{r:02d}": 30 - r for r in range(25)})  # D = 25: the Euler-Maclaurin tail
 def test_built_profile_matches_the_loops(counts):
     _assert_matches_loops(_built(counts), counts)
+
+
+@pytest.mark.parametrize("D", [3, 24, 25, 400])
+def test_uniform_profile_fits_exactly_zero(D):
+    counts = {f"w{r:03d}": 2 for r in range(D)}
+    p = _built(counts)
+    assert fit_zipf_exponent(p) == 0.0
+    assert zipf_deviation(p, 0.0) == 0.0
+    _assert_matches_loops(p, counts)
+
+
+# Zipf-like count maps on either side of the D = 24 switch, with exponents at
+# and around g = 1 (where the tail's integral is a logarithm), at the ends of
+# the 0 < g <= 3 range of the closed-form tail, and outside it
+zipf_counts = st.builds(
+    lambda D, top: {f"w{r:04d}": max(1, top // (r + 1)) for r in range(D)},
+    st.integers(min_value=1, max_value=2000), st.integers(min_value=1, max_value=5000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(zipf_counts, st.floats(min_value=-2.0, max_value=5.0))
+@example({f"w{r:02d}": 30 - r for r in range(24)}, 1.0)
+@example({f"w{r:02d}": 30 - r for r in range(25)}, 1.0)
+@example({f"w{r:03d}": 500 // (r + 1) for r in range(300)}, 1.0)
+@example({f"w{r:03d}": 500 // (r + 1) for r in range(300)}, 1.0 + 1e-12)
+@example({f"w{r:03d}": 500 // (r + 1) for r in range(300)}, 1.0 - 1e-12)
+@example({f"w{r:03d}": 500 // (r + 1) for r in range(300)}, 5e-324)
+@example({f"w{r:03d}": 500 // (r + 1) for r in range(300)}, 3.0)
+@example({f"w{r:03d}": 500 // (r + 1) for r in range(300)}, 3.5)  # per rank
+@example({f"w{r:03d}": 500 // (r + 1) for r in range(300)}, -0.5)  # per rank
+def test_zipf_mass_matches_the_loops_at_any_exponent(counts, g):
+    _assert_zipf_mass_matches_the_loops(_built(counts), loop_profile.loop_entries(counts), g)
+
+
+@pytest.mark.parametrize("g", [-400.0, -150.0, 400.0])
+def test_an_extreme_exponent_names_g_and_D(g):
+    p = RankedProfile.from_frequencies(range(140, 0, -1))
+    with pytest.raises(ValueError, match=rf"g={g} over D=140 ranks is out of floating-point range"):
+        zipf_reference(p, g)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@ import re
 import sys
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from loop_tokenizer import loop_tokenize
 
@@ -149,3 +150,15 @@ def test_whitespace_split_agrees_with_the_regex_alphabet():
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     assert set(re.findall(r"[^\W_]", every)) == {ch for ch in every if ch.isalnum()}
     assert not [ch for ch in every if ch.isspace() and (ch.isalnum() or ch in PUNCTUATION)]
+
+
+@pytest.mark.parametrize("text, L_CH", [
+    ("İstanbul", 9),  # one all-alphanumeric chunk: "i̇stanbul"
+    ("İİ İ", 6),
+    ("İstanbul'da", 12),  # the apostrophe sits inside the word
+    ("'İ'", 2),  # stand-alone apostrophes are marks, not word characters
+    ("¿İ?", 2),  # "¿" only separates
+    ("l'İ'x 'a İ-İ", 11),
+])
+def test_word_characters_count_the_lower_cased_words(text, L_CH):
+    assert tokenize(text).L_CH == loop_tokenize(text).L_CH == L_CH
