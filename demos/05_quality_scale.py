@@ -7,17 +7,17 @@ from lexigauge import (
     GroupKey,
     Language,
     StylePoint,
-    build_scale,
     class_center,
-    direction_vector,
     load_bundled_tables,
     load_wqs_presets,
+    reconstruct,
     select_group,
     wqs,
 )
+from lexigauge.targets import RECORDED_SCALE_FACTORS
 
 # The scale is a linear functional on (d_rel, h_rel, j): weights dotted with
-# the offset from an origin point. Four presets ship with the package.
+# the offset from an origin point. The published presets ship with the package.
 presets = load_wqs_presets()
 for label, coeffs in sorted(presets.items()):
     w = coeffs.weights
@@ -32,21 +32,18 @@ print(f"and {wqs(presets['verbatim-es'], point):+.4f} on verbatim-es")
 
 # The preset geometry can be rebuilt from the bundled tables: the origin is
 # the non-laureate class center and the weights point toward the laureate
-# center, stretched by a scale factor.
+# center, stretched by the recorded scale factor. reconstruct() is that
+# construction; analyze scores its wqs_reconstructed column with it.
 rows = load_bundled_tables()
-def center(nobel):
+print()
+for nobel, name in ((False, "non-laureate center:"), (True, "laureate center:")):
     group = select_group(rows, GroupKey(Language.ENGLISH, nobel))
-    return class_center([StylePoint(r.d_rel, r.h_rel, r.j) for r in group])
+    c = class_center([StylePoint(r.d_rel, r.h_rel, r.j) for r in group])
+    print(f"{name:21s}({c.d_rel:+.5f}, {c.h_rel:+.5f}, {c.j:+.5f})")
 
-non, nob = center(False), center(True)
-print(f"\nnon-laureate center: ({non.d_rel:+.5f}, {non.h_rel:+.5f}, {non.j:+.5f})")
-print(f"laureate center:     ({nob.d_rel:+.5f}, {nob.h_rel:+.5f}, {nob.j:+.5f})")
-
-direction = direction_vector(non, nob)
-rebuilt = build_scale(non, direction, 8.083, label="rebuilt-en")
-print(f"unit direction:      ({direction.d_rel:+.5f}, {direction.h_rel:+.5f}, {direction.j:+.5f})")
-print(f"rebuilt weights:     ({rebuilt.weights.d_rel:+.4f}, {rebuilt.weights.h_rel:+.4f}, "
-      f"{rebuilt.weights.j:+.4f})")
-# the reconstructed-en preset bundles exactly this construction
-print(f"bundled reconstruction scores the example row "
-      f"{wqs(presets['reconstructed-en'], point):+.4f}")
+rebuilt = reconstruct(rows, Language.ENGLISH, RECORDED_SCALE_FACTORS["en"])
+w = rebuilt.weights
+print(f"unit direction:      ({w.d_rel / w.norm():+.5f}, {w.h_rel / w.norm():+.5f}, "
+      f"{w.j / w.norm():+.5f})")
+print(f"rebuilt weights:     ({w.d_rel:+.4f}, {w.h_rel:+.4f}, {w.j:+.4f})")
+print(f"the reconstruction scores the example row {wqs(rebuilt, point):+.4f}")

@@ -64,6 +64,7 @@ from .wqs import (
     class_center,
     direction_vector,
     load_wqs_presets,
+    reconstruct,
     wqs,
 )
 from .zipf import fit_zipf_exponent, zipf_deviation, zipf_reference

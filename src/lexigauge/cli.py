@@ -66,15 +66,17 @@ def cmd_analyze(args) -> int:
         return 2
     language = Language.parse(args.lang)
     try:
-        params = load_language_params().get(language)
-        presets = load_wqs_presets() if args.preset is not None else {}
+        by_language = load_language_params()
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if params is None:
+    if (params := by_language.get(language)) is None:
         print(f"error: language_params.csv has no {language.value} row", file=sys.stderr)
         return 1
     if args.preset is not None:
+        presets = {f"{kind}-{p.language.code.lower()}": coeffs for p in by_language.values()
+                   for kind, coeffs in (("verbatim", p.wqs_preset),
+                                        ("reconstructed", p.wqs_reconstructed))}
         if args.preset not in presets:
             print(
                 f"error: unknown preset {args.preset!r}; available: {', '.join(sorted(presets))}",
@@ -126,6 +128,13 @@ def _manifest_profiles(manifest_path: str):
     return out
 
 
+def _with_symbols(group: list, lines: list[str]) -> list:
+    """The profiles of a group's (entry, profile) pairs that hold a symbol;
+    each text without one is listed in lines instead."""
+    lines.extend(f"{entry.id}: no symbols to fit" for entry, p in group if p.D == 0)
+    return [p for _, p in group if p.D]
+
+
 def cmd_fit(args) -> int:
     if args.out and args.model == "zipf":
         print("error: --out writes model parameters; use --model heaps or entropy", file=sys.stderr)
@@ -143,7 +152,7 @@ def cmd_fit(args) -> int:
     lines: list[str] = []
     if args.model == "heaps":
         for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
-            points = [(p.L, p.D) for _, p in group]
+            points = [(p.L, p.D) for p in _with_symbols(group, lines)]
             if len(points) < 3 or len({L for L, _ in points}) < 2:
                 lines.append(f"{language.value}: insufficient data ({len(points)} texts)")
                 continue
@@ -155,12 +164,8 @@ def cmd_fit(args) -> int:
             )
     elif args.model == "entropy":
         for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
-            points = []
-            for entry, p in group:
-                if p.D == 0:
-                    lines.append(f"{entry.id}: no symbols to fit")
-                elif 0 < (d := specific_diversity(p)) < 1 and (h := entropy(p)) > 0:
-                    points.append((d, h))
+            points = [(d, h) for p in _with_symbols(group, lines)
+                      if 0 < (d := specific_diversity(p)) < 1 and (h := entropy(p)) > 0]
             if len(points) < 2:
                 lines.append(f"{language.value}: insufficient data ({len(points)} usable texts)")
                 continue

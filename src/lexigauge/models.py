@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from operator import mul, sub
 
 from ._data import data_path, read_table
-from .corpus import Language
+from .corpus import Language, load_bundled_tables
 from .stats import linear_regression
-from .wqs import WqsCoefficients, load_wqs_presets
+from .targets import RECORDED_SCALE_FACTORS
+from .wqs import WqsCoefficients, load_wqs_presets, reconstruct
 
 # the columns of a parameter file, in order
 PARAM_COLUMNS = ("language", "heaps_c", "heaps_beta", "entropy_exponent", "c_sy")
@@ -171,10 +172,14 @@ def fit_entropy_model(points: list[tuple[float, float]]) -> float:
 
 def load_language_params() -> dict[Language, LanguageParams]:
     """Load the bundled per-language parameter table (LEXIGAUGE_PRESET_DIR
-    overrides the directory) and attach each language's verbatim and
-    reconstructed scale presets."""
+    overrides the directory) and attach each language's verbatim scale preset
+    and its reconstructed one, rebuilt from the four reference tables of the
+    same directory."""
     resolved = data_path("language_params.csv")
     presets = load_wqs_presets()
+    rows = load_bundled_tables()
+    reconstructed = {lang: reconstruct(rows, lang, RECORDED_SCALE_FACTORS[lang.code.lower()])
+                     for lang in Language}
     out: dict[Language, LanguageParams] = {}
     for line, (language, *values) in read_table(resolved, PARAM_COLUMNS):
         try:
@@ -183,7 +188,7 @@ def load_language_params() -> dict[Language, LanguageParams]:
             out[language] = LanguageParams(
                 language, *map(float, values),
                 wqs_preset=presets[f"verbatim-{code}"],
-                wqs_reconstructed=presets[f"reconstructed-{code}"],
+                wqs_reconstructed=reconstructed[language],
             )
         except ValueError as exc:
             raise ValueError(f"{resolved}:{line}: bad params row: {exc}") from exc

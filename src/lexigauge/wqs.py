@@ -6,12 +6,12 @@ product of fixed weights with the point after subtracting a fixed origin:
 
     wqs = w_d (d_rel - o_d) + w_h (h_rel - o_h) + w_j (j - o_j)
 
-Two preset families ship in data/wqs_presets.csv. The `verbatim` presets
-carry the published constants exactly as printed. The `reconstructed` presets
-rebuild the scale from the bundled tables: origin = non-laureate class
-center, weights = scale * unit direction toward the laureate center. The two
-families disagree because the published origin offsets do not match the
-published class centers; keeping both makes that gap visible.
+The `verbatim` presets in data/wqs_presets.csv carry the published constants
+exactly as printed. The `reconstructed` presets are stored nowhere:
+reconstruct() rebuilds them from the reference rows in load_language_params,
+with origin = non-laureate class center, weights = scale * unit direction
+toward the laureate center. The two disagree because the published origin
+offsets do not match the published class centers; keeping both shows the gap.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from ._data import data_path, read_table
+from .corpus import GroupKey, Language, ReferenceRow, select_group
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class StylePoint:
 class WqsCoefficients:
     origin: StylePoint
     weights: StylePoint
-    label: str
 
     def __post_init__(self):
         if self.weights.norm() == 0.0:
@@ -71,7 +71,7 @@ def direction_vector(start: StylePoint, end: StylePoint) -> StylePoint:
     return StylePoint(diff.d_rel / norm, diff.h_rel / norm, diff.j / norm)
 
 
-def build_scale(origin: StylePoint, direction: StylePoint, scale: float, label: str = "custom") -> WqsCoefficients:
+def build_scale(origin: StylePoint, direction: StylePoint, scale: float) -> WqsCoefficients:
     """Coefficients with weights = scale * direction. direction must be unit
     length; scale must be nonzero."""
     # 1e-4 accepts unit vectors whose components were rounded to 5 decimals
@@ -80,7 +80,20 @@ def build_scale(origin: StylePoint, direction: StylePoint, scale: float, label: 
     if scale == 0.0:
         raise ValueError("scale must be nonzero")
     weights = StylePoint(scale * direction.d_rel, scale * direction.h_rel, scale * direction.j)
-    return WqsCoefficients(origin=origin, weights=weights, label=label)
+    return WqsCoefficients(origin=origin, weights=weights)
+
+
+def reconstruct(rows: list[ReferenceRow], language: Language, scale: float) -> WqsCoefficients:
+    """The reconstructed preset of a language: origin at its non-laureate
+    center in rows, weights scale times the unit direction from there to its
+    laureate center. An empty group raises ValueError naming the language."""
+    try:
+        non, nobel = (class_center([StylePoint(r.d_rel, r.h_rel, r.j)
+                                    for r in select_group(rows, GroupKey(language, laureate))])
+                      for laureate in (False, True))
+        return build_scale(non, direction_vector(non, nobel), scale)
+    except ValueError as exc:
+        raise ValueError(f"cannot reconstruct the {language.value} scale: {exc}") from exc
 
 
 def wqs(coeffs: WqsCoefficients, point: StylePoint) -> float:
@@ -92,8 +105,8 @@ def wqs(coeffs: WqsCoefficients, point: StylePoint) -> float:
 def load_wqs_presets(path: str | None = None) -> dict[str, WqsCoefficients]:
     """Presets from a `label,origin_d,origin_h,origin_j,w_d,w_h,w_j` file.
     Defaults to the bundled file (LEXIGAUGE_PRESET_DIR overrides the
-    directory). The file must carry the verbatim and reconstructed preset of
-    each language; one missing raises ValueError naming the file and label."""
+    directory). The file must carry the verbatim preset of each language; one
+    missing raises ValueError naming the file and label."""
     resolved = path if path is not None else data_path("wqs_presets.csv")
     presets: dict[str, WqsCoefficients] = {}
     columns = ("label", "origin_d", "origin_h", "origin_j", "w_d", "w_h", "w_j")
@@ -101,10 +114,10 @@ def load_wqs_presets(path: str | None = None) -> dict[str, WqsCoefficients]:
         label = label.strip()
         try:
             floats = list(map(float, values))
-            presets[label] = WqsCoefficients(StylePoint(*floats[:3]), StylePoint(*floats[3:]), label)
+            presets[label] = WqsCoefficients(StylePoint(*floats[:3]), StylePoint(*floats[3:]))
         except ValueError as exc:
             raise ValueError(f"{resolved}:{line}: bad preset row {label!r}: {exc}") from exc
-    for label in ("verbatim-en", "verbatim-es", "reconstructed-en", "reconstructed-es"):
+    for label in ("verbatim-en", "verbatim-es"):
         if label not in presets:
             raise ValueError(f"{resolved}: no preset {label!r}")
     return presets

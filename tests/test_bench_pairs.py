@@ -46,6 +46,31 @@ def test_unpaired_runs_are_refused():
         bench_pairs.summarize([1.0], [1.0])
 
 
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]  # median 12.25
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    assert bench_pairs.regression(PARENT, [p + 2.5 for p in PARENT], 0.2) == "worse"
+    assert bench_pairs.regression(PARENT, [p + 2.4 for p in PARENT], 0.2) == "ok"  # 2.4 < 2.45
+
+
+def test_a_parent_spread_beyond_the_bound_is_unresolved():
+    # quartile distance 2.25 exceeds 0.1 * 12.25
+    assert bench_pairs.regression(PARENT, PARENT, 0.1) == "unresolved"
+    assert bench_pairs.regression(PARENT, PARENT, 0.2) == "ok"
+
+
+def test_a_change_that_beats_every_parent_run_is_resolved_despite_the_spread():
+    assert bench_pairs.regression(PARENT, [9.9] * 10, 0.1) == "ok"
+    assert bench_pairs.regression(PARENT, [9.9] * 9 + [10.0], 0.1) == "unresolved"  # a tie
+
+
+def test_the_verdict_follows_the_better_direction():
+    assert bench_pairs.regression(PARENT, [p + 2.5 for p in PARENT], 0.2, "higher") == "ok"
+    assert bench_pairs.regression(PARENT, [p - 2.5 for p in PARENT], 0.2, "higher") == "worse"
+    assert bench_pairs.regression(PARENT, [14.6] * 10, 0.1, "higher") == "ok"
+
+
 def test_seed_ranges():
     assert bench_pairs._seeds("101-103") == [101, 102, 103]
     assert bench_pairs._seeds("7") == [7]

@@ -358,6 +358,18 @@ def test_fit_entropy_skips_a_text_without_symbols(tmp_path, capsys):
     assert out == ["T1: no symbols to fit", "English: insufficient data (1 usable texts)"]
 
 
+def test_fit_heaps_skips_a_text_without_symbols(synthetic_growth_corpus, tmp_path, capsys):
+    blank = tmp_path / "blank.txt"
+    blank.write_text("  \n\t\n", encoding="utf-8")
+    with open(synthetic_growth_corpus, "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["T5", "blank", "S", "O", "EN", "false", "", str(blank)])
+    assert main(["fit", "--manifest", str(synthetic_growth_corpus), "--model", "heaps"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "T5: no symbols to fit"
+    assert out[1].startswith("English: c=") and out[1].endswith(" n=5")
+    assert len(out) == 2
+
+
 def test_fit_entropy_and_zipf_models(synthetic_growth_corpus, capsys):
     assert main(["fit", "--manifest", str(synthetic_growth_corpus), "--model", "entropy"]) == 0
     assert "exponent=" in capsys.readouterr().out
@@ -553,8 +565,17 @@ def test_verify_detects_corruption(work, capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["tables"], ["plot-data", "--figure", "wqs-plane"]])
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["tables"], ["plot-data", "--figure", "wqs-plane"],
+    ["analyze", str(data_dir() / "texts" / "gettysburg_address.txt"), "--lang", "en"],
+    ["analyze", str(data_dir() / "texts" / "gettysburg_address.txt"), "--lang", "en",
+     "--preset", "reconstructed-en"],
+])
 def test_each_reference_table_is_opened_once(monkeypatch, capsys, argv):
+    # analyze reads the tables to rebuild the reconstructed presets, verify the
+    # presets to check the published ones; no model curve needs parameters
+    reads = {"wqs_presets.csv": int(argv[0] in ("analyze", "verify")),
+             "language_params.csv": int(argv[0] == "analyze")}
     opened = Counter()
 
     def counting_open(file, *args, **kwargs):
@@ -566,7 +587,7 @@ def test_each_reference_table_is_opened_once(monkeypatch, capsys, argv):
     monkeypatch.setattr(builtins, "open", counting_open)
     assert main(argv) == 0
     assert [opened[(data_dir() / name).resolve()] for name, _, _ in BUNDLED_TABLES] == [1] * 4
-    assert opened[(data_dir() / "language_params.csv").resolve()] == 0  # no model curves
+    assert {name: opened[(data_dir() / name).resolve()] for name in reads} == reads
 
 
 def _verify_fails(work, capsys) -> list[str]:
@@ -688,7 +709,7 @@ def test_malformed_parameter_file_names_its_line(work, synthetic_growth_corpus, 
     assert f"{work / name}:{line}: " in captured.out + captured.err
 
 
-@pytest.mark.parametrize("label", ["verbatim-en", "reconstructed-en"])
+@pytest.mark.parametrize("label", ["verbatim-en"])
 @pytest.mark.parametrize("command", ["analyze", "verify", "verify-dir"])
 def test_preset_file_missing_a_label_names_it(work, monkeypatch, capsys, label, command):
     presets = work / "wqs_presets.csv"
@@ -705,6 +726,29 @@ def test_preset_file_missing_a_label_names_it(work, monkeypatch, capsys, label, 
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert f"{presets}: no preset {label!r}\n" in captured.out + captured.err
+
+
+def test_reconstructed_presets_follow_the_tables_of_the_preset_dir(work, monkeypatch, capsys):
+    text = str(data_dir() / "texts" / "gettysburg_address.txt")
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
+
+    def report():
+        capsys.readouterr()
+        assert main(["analyze", text, "--lang", "en", "--format", "jsonl"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    before = report()
+    # move one non-laureate speech in d_rel: the non-laureate center moves with it
+    _edit(work / "english_non_nobel.csv", "E1,1381.JohnBall,S,O,0.5150,0.9140,-0.1684,",
+          "E1,1381.JohnBall,S,O,0.5150,0.9140,0.1684,")
+    after = report()
+    assert after["wqs_verbatim"] == before["wqs_verbatim"]
+    assert after["wqs_reconstructed"] != before["wqs_reconstructed"]
+
+    (work / "english_non_nobel.csv").unlink()
+    assert main(["analyze", text, "--lang", "en"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: reference table english_non_nobel.csv not found in {work}\n")
 
 
 def test_analyze_without_parameters_for_its_language(work, monkeypatch, capsys):

@@ -21,6 +21,7 @@ from lexigauge.models import (
     relative_diversity,
     relative_entropy,
 )
+from lexigauge.wqs import load_wqs_presets
 
 REPO = Path(__file__).resolve().parent.parent
 GETTYSBURG = REPO / "src" / "lexigauge" / "data" / "texts" / "gettysburg_address.txt"
@@ -36,8 +37,9 @@ def test_bundled_parameter_values(params):
     es = params[Language.SPANISH]
     assert (en.heaps_c, en.heaps_beta, en.entropy_exponent, en.c_sy) == (3.766, 0.67, 0.1523, 3.57)
     assert (es.heaps_c, es.heaps_beta, es.entropy_exponent, es.c_sy) == (2.3, 0.75, 0.1763, 2.94)
-    assert en.wqs_preset.label == "verbatim-en"
-    assert es.wqs_preset.label == "verbatim-es"
+    presets = load_wqs_presets()
+    assert en.wqs_preset == presets["verbatim-en"]
+    assert es.wqs_preset == presets["verbatim-es"]
 
 
 def test_params_validation(params):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lexigauge.corpus import GroupKey, Language, load_bundled_tables, select_group
+from lexigauge.models import load_language_params
+from lexigauge.targets import RECORDED_DIRECTIONS, RECORDED_SCALE_FACTORS
 from lexigauge.wqs import (
     StylePoint,
     WqsCoefficients,
@@ -11,12 +13,9 @@ from lexigauge.wqs import (
     class_center,
     direction_vector,
     load_wqs_presets,
+    reconstruct,
     wqs,
 )
-
-# Published constants the presets must stay consistent with.
-EN_DIRECTION = (0.68147, -0.07153, -0.72835)
-ES_DIRECTION = (0.73241, -0.13280, -0.66779)
 
 # Group centers recomputed from the bundled tables. The recorded center for
 # the en-nobel group (0.0269, -0.00567, -0.05779) is not reproducible from
@@ -100,9 +99,9 @@ def test_direction_between_recorded_centers():
 
 
 def test_build_scale_reproduces_preset_weights(presets):
-    for code, direction, scale in (("en", EN_DIRECTION, 8.083), ("es", ES_DIRECTION, 7.601)):
+    for code, scale in RECORDED_SCALE_FACTORS.items():
         verbatim = presets[f"verbatim-{code}"]
-        built = build_scale(verbatim.origin, StylePoint(*direction), scale, label="rebuilt")
+        built = build_scale(verbatim.origin, StylePoint(*RECORDED_DIRECTIONS[code]), scale)
         assert built.weights.d_rel == pytest.approx(verbatim.weights.d_rel, abs=1e-3)
         assert built.weights.h_rel == pytest.approx(verbatim.weights.h_rel, abs=1e-3)
         assert built.weights.j == pytest.approx(verbatim.weights.j, abs=1e-3)
@@ -117,24 +116,14 @@ def test_build_scale_validation():
         build_scale(StylePoint(0, 0, 0), unit, 0.0)
 
 
-def test_weight_direction_ratios(presets):
-    for code, direction, scale in (("en", EN_DIRECTION, 8.083), ("es", ES_DIRECTION, 7.601)):
-        w = presets[f"verbatim-{code}"].weights
-        ratios = [w.d_rel / direction[0], w.h_rel / direction[1], w.j / direction[2]]
-        assert max(ratios) / min(ratios) - 1 < 1e-4
-        assert sum(ratios) / 3 == pytest.approx(scale, abs=1e-3)
-
-
-def test_scale_on_recorded_example_row(presets):
+def test_scale_on_recorded_example_row(presets, rows):
     point = StylePoint(-0.1684, 0.0049, -0.1156)
     value = wqs(presets["verbatim-en"], point)
     assert value == pytest.approx(0.09041502800000001, abs=1e-12)
     assert value == pytest.approx(0.0904, abs=0.0005)
-    # the reconstructed preset lands elsewhere for the same row; its stored
-    # coefficients carry 10 significant digits, so pin 8 decimals
-    assert wqs(presets["reconstructed-en"], point) == pytest.approx(
-        0.0078880394, abs=1e-8
-    )
+    # the reconstructed scale lands elsewhere for the same row
+    reconstructed = reconstruct(rows, Language.ENGLISH, RECORDED_SCALE_FACTORS["en"])
+    assert wqs(reconstructed, point) == pytest.approx(0.00788803949043937, abs=1e-12)
 
 
 def test_scale_zero_at_origin(presets):
@@ -147,26 +136,40 @@ def test_scale_at_zero_point(presets):
     assert wqs(presets["verbatim-en"], StylePoint(0, 0, 0)) == pytest.approx(0.3403, abs=0.0005)
 
 
-def test_reconstructed_presets_are_rebuilt_from_centers(presets):
-    en = presets["reconstructed-en"]
-    assert (en.origin.d_rel, en.origin.h_rel, en.origin.j) == pytest.approx(
-        CENTERS["en-non"], abs=1e-9
-    )
-    assert (en.weights.d_rel, en.weights.h_rel, en.weights.j) == pytest.approx(
-        (5.625485432632382, -0.5938856093624606, -5.773742506401982), abs=1e-6
-    )
-    es = presets["reconstructed-es"]
-    assert (es.origin.d_rel, es.origin.h_rel, es.origin.j) == pytest.approx(
-        CENTERS["es-non"], abs=1e-9
-    )
-    assert (es.weights.d_rel, es.weights.h_rel, es.weights.j) == pytest.approx(
-        (5.593741015359029, -1.1828592700631309, -5.008603238460385), abs=1e-6
-    )
+# The weights the preset file stored, to 10 significant digits, before the
+# reconstructed presets were derived from the tables at load time.
+FORMERLY_STORED_WEIGHTS = {
+    "en": (5.625485433, -0.5938856094, -5.773742506),
+    "es": (5.593741015, -1.18285927, -5.008603238),
+}
+
+
+def test_reconstructed_presets_are_rebuilt_from_centers(rows):
+    params = load_language_params()
+    for language in Language:
+        code = language.code.lower()
+        built = reconstruct(rows, language, RECORDED_SCALE_FACTORS[code])
+        assert params[language].wqs_reconstructed == built
+        origin, weights = built.origin, built.weights
+        assert (origin.d_rel, origin.h_rel, origin.j) == pytest.approx(
+            CENTERS[f"{code}-non"], abs=1e-12)
+        assert (weights.d_rel, weights.h_rel, weights.j) == pytest.approx(
+            FORMERLY_STORED_WEIGHTS[code], abs=1e-9)
+        assert weights.norm() == pytest.approx(RECORDED_SCALE_FACTORS[code], abs=1e-12)
+
+
+@pytest.mark.parametrize("nobel", [True, False])
+def test_reconstruct_names_the_language_of_an_empty_group(rows, nobel):
+    kept = [r for r in rows if r.entry.language is Language.SPANISH or r.entry.nobel is not nobel]
+    with pytest.raises(ValueError, match="^cannot reconstruct the English scale: class center "
+                                         "of an empty group is undefined$"):
+        reconstruct(kept, Language.ENGLISH, 1.0)
+    assert reconstruct(kept, Language.SPANISH, 1.0) == reconstruct(rows, Language.SPANISH, 1.0)
 
 
 def test_coefficients_validation():
     with pytest.raises(ValueError):
-        WqsCoefficients(origin=StylePoint(0, 0, 0), weights=StylePoint(0, 0, 0), label="null")
+        WqsCoefficients(origin=StylePoint(0, 0, 0), weights=StylePoint(0, 0, 0))
 
 
 coords = st.floats(min_value=-2.0, max_value=2.0)

@@ -8,9 +8,11 @@ ones. Each run's last output line is its JSON result. For every end-to-end
 metric the summary gives each side's median and quartiles, the pairs the
 change won (a tie counts for neither side), and whether the gain rule
 holds: the change wins at least nine tenths of the pairs, and its median is
-better than the parent's by more than the parent's quartile distance.
-Which direction is better comes from BENCHMARK.json in CHANGE. Standard
-library only; a run that fails or reports "correct": false stops the tool.
+better than the parent's by more than the parent's quartile distance. It
+also gives the no-regression verdict against the metric's bound (see
+regression). Which direction is better, and each bound, come from
+BENCHMARK.json in CHANGE. Standard library only; a run that fails or
+reports "correct": false stops the tool.
 """
 from __future__ import annotations
 
@@ -53,12 +55,30 @@ def summarize(parent: list[float], change: list[float], better: str = "lower") -
     }
 
 
-def _format(name: str, s: dict, unit: str) -> str:
+def regression(parent: list[float], change: list[float], bound: float,
+               better: str = "lower") -> str:
+    """The no-regression verdict on one metric's paired runs, bound being a
+    fraction of the parent's median: "worse" when the change's median is
+    worse than the parent's by more than the bound; "unresolved" when the
+    parent's quartile distance exceeds the bound, unless every change run
+    beats every parent run; "ok" otherwise."""
+    sign = 1 if better == "lower" else -1
+    p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    allowed = bound * abs(p_med)
+    if sign * (statistics.median(change) - p_med) > allowed:
+        return "worse"
+    if p_q3 - p_q1 > allowed and not all(sign * (p - c) > 0 for p in parent for c in change):
+        return "unresolved"
+    return "ok"
+
+
+def _format(name: str, s: dict, unit: str, verdict: str) -> str:
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
     change = s["change"][1] / s["parent"][1] - 1 if s["parent"][1] else math.nan
     return (f"{name:12s} {unit:3s} parent {side(s['parent']):28s} change {side(s['change']):28s} "
-            f"{change:+7.1%}  wins {s['wins']}/{s['pairs']}  rule {'holds' if s['holds'] else 'fails'}")
+            f"{change:+7.1%}  wins {s['wins']}/{s['pairs']}  rule {'holds' if s['holds'] else 'fails'}"
+            f"  no-regression {verdict}")
 
 
 def _seeds(text: str) -> list[int]:
@@ -85,9 +105,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
             for name in metrics), flush=True)
     for name, m in metrics.items():
-        s = summarize([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                      m["better"])
-        print(_format(name, s, m["unit"]))
+        parent, change = ([r[name] for r in runs[side]] for side in ("parent", "change"))
+        verdict = regression(parent, change, m["bound"], m["better"])
+        print(_format(name, summarize(parent, change, m["better"]), m["unit"], verdict))
     return 0
 
 
