@@ -4,7 +4,6 @@ Readability scoring for English and Spanish
 """
 
 from lexigauge import (
-    C_SY_ALTERNATES,
     Language,
     ReadabilityInputs,
     ipsz,
@@ -38,11 +37,6 @@ print(f"forced ipsz:   {ipsz(inputs):.2f}")
 # The two formulas differ only in how hard long phrases are penalized:
 # ipsz - res = 0.015 * S, always.
 print(f"\nidentity check: {ipsz(inputs) - res(inputs):.6f} == {0.015 * inputs.S:.6f}")
-
-# Published characters-per-syllable constants vary by study; the bundled
-# parameters use the gualda values.
-for name, by_lang in C_SY_ALTERNATES.items():
-    print(f"  c_sy[{name}]: en={by_lang['English']}, es={by_lang['Spanish']}")
 
 # Score sensitivity: longer phrases push both scores down.
 for s_val in (5.0, 15.0, 30.0):

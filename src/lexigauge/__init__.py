@@ -41,7 +41,6 @@ from .profile import (
     specific_diversity,
 )
 from .readability import (
-    C_SY_ALTERNATES,
     ReadabilityInputs,
     ipsz,
     readability_inputs,

@@ -37,7 +37,8 @@ from .corpus import (
     load_text,
     write_report,
 )
-from .models import PARAM_COLUMNS, fit_entropy_model, fit_heaps, load_language_params
+from .models import (PARAM_COLUMNS, fit_entropy_model, fit_heaps, load_language_params,
+                     load_model_params)
 from .pipeline import AnalysisError, TextMetrics, analyze_text
 from .profile import build_profile, entropy, specific_diversity
 from .stats import linear_regression
@@ -195,7 +196,7 @@ def cmd_fit(args) -> int:
 
     if args.out:
         try:
-            defaults = load_language_params()
+            defaults = load_model_params()
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -217,7 +218,7 @@ def cmd_fit(args) -> int:
 
 def cmd_tables(args) -> int:
     try:
-        records = targets.recompute(load_bundled_tables(args.reference_dir))
+        records = targets.recompute(load_bundled_tables())
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -259,7 +260,7 @@ class _Figure(NamedTuple):
     """A plot-data figure: its columns after `series`, its axis labels (x, y,
     then the extras), the report columns and the table attributes its points
     come from (None: the figure needs --report), and the model curve
-    y = curve(language params, x) drawn over the points' x range, if any."""
+    y = curve(model params, x) drawn over the points' x range, if any."""
     header: tuple[str, ...]
     axes: tuple[str, ...]
     report_columns: tuple[str, ...]
@@ -321,8 +322,8 @@ def cmd_plotdata(args) -> int:
         else:
             get = attrgetter(*figure.table_fields)
             rows = [(_GROUP_LABELS[r.entry.language, r.entry.nobel], *get(r))
-                    for r in load_bundled_tables(args.reference_dir)]
-        params = load_language_params() if figure.curve else None
+                    for r in load_bundled_tables()]
+        params = load_model_params() if figure.curve else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -356,12 +357,12 @@ def _check(checks: list, ok: bool, message: str, info: bool = False) -> None:
     checks.append(("INFO" if info else ("PASS" if ok else "FAIL"), message))
 
 
-def _verify_digests(checks: list, directory: Path, cells: dict) -> None:
+def _verify_digests(checks: list, cells: dict) -> None:
     """Check each row's md5 digest of its seven metric cells, as written (the
     cells load_bundled_tables collected), against the integrity sidecar."""
     import hashlib  # only verify needs it; other commands skip loading _hashlib
 
-    sidecar = directory / "integrity.csv"
+    sidecar = data_dir() / "integrity.csv"
     if not sidecar.is_file():
         _check(checks, True, "row digests: no integrity.csv sidecar; skipped", info=True)
         return
@@ -400,15 +401,10 @@ def cmd_verify(args) -> int:
         print("error: --tolerance must be >= 0", file=sys.stderr)
         return 2
     checks: list[tuple[str, str]] = []
-    directory = Path(args.reference_dir) if args.reference_dir else data_dir()
-    preset_path = None
-    if args.reference_dir and (directory / "wqs_presets.csv").is_file():
-        preset_path = str(directory / "wqs_presets.csv")
-
     cells: dict[str, list] = {}
     try:
-        rows = load_bundled_tables(args.reference_dir, cells)
-        presets = load_wqs_presets(preset_path)
+        rows = load_bundled_tables(cells)
+        presets = load_wqs_presets()
     except (OSError, ValueError) as exc:
         print(f"FAIL  table load: {exc}")
         print("1 hard failure")
@@ -420,7 +416,7 @@ def cmd_verify(args) -> int:
         print("1 hard failure")
         return 1
 
-    _verify_digests(checks, directory, cells)
+    _verify_digests(checks, cells)
 
     sizes = {r.group: r.n for r in records if r.group in targets.GROUPS}
     _check(checks, sizes == targets.GROUP_SIZES,
@@ -505,17 +501,13 @@ _COMMANDS = {
         ("--model", dict(required=True, choices=("heaps", "entropy", "zipf"))),
         ("--out", dict(help="write a parameter file with the fitted values")),
     )),
-    "tables": ("cmd_tables", "recompute the recorded group statistics", (
-        ("--reference-dir", dict(help="directory of reference tables (default: bundled)")),
-    )),
+    "tables": ("cmd_tables", "recompute the recorded group statistics", ()),
     "plot-data": ("cmd_plotdata", "emit figure-ready point files", (
         ("--figure", dict(required=True, choices=FIGURES)),
-        ("--reference-dir", {}),
         ("--report", dict(help="analysis report to plot instead of the bundled tables")),
         ("--out", {}),
     )),
     "verify": ("cmd_verify", "check bundled tables against recorded targets", (
-        ("--reference-dir", {}),
         ("--tolerance", dict(type=float, default=1.0, help="scales the recorded-value "
                              "tolerances (0 fails on rounding alone)")),
     )),

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-from ._data import data_dir, read_lines, read_table
+from ._data import data_path, read_lines, read_table
 
 if TYPE_CHECKING:  # pipeline imports this module
     from .pipeline import TextMetrics
@@ -231,21 +231,15 @@ BUNDLED_TABLES = (
 
 
 def load_bundled_tables(
-    directory: str | Path | None = None,
     cells: dict[str, list[tuple[str, list[str]]]] | None = None,
 ) -> list[ReferenceRow]:
-    """All four bundled metric tables concatenated. directory overrides the
-    package data dir (the LEXIGAUGE_PRESET_DIR env var also does). If cells
-    is given, it maps each table's file name to its rows' raw cells (see
-    load_reference_table)."""
-    base = Path(directory) if directory is not None else data_dir()
+    """All four bundled metric tables concatenated (LEXIGAUGE_PRESET_DIR
+    overrides the directory). If cells is given, it maps each table's file
+    name to its rows' raw cells (see load_reference_table)."""
     rows: list[ReferenceRow] = []
     for name, language, nobel in BUNDLED_TABLES:
-        path = base / name
-        if not path.is_file():
-            raise FileNotFoundError(f"reference table {name} not found in {base}")
         table_cells = None if cells is None else cells.setdefault(name, [])
-        rows.extend(load_reference_table(path, language, nobel, table_cells))
+        rows.extend(load_reference_table(data_path(name), language, nobel, table_cells))
     return rows
 
 

@@ -25,14 +25,14 @@ PARAM_COLUMNS = ("language", "heaps_c", "heaps_beta", "entropy_exponent", "c_sy"
 
 
 @dataclass(frozen=True)
-class LanguageParams:
+class ModelParams:
+    """One row of a parameter file: a language's two corpus models and its
+    characters per syllable."""
     language: Language
     heaps_c: float
     heaps_beta: float
     entropy_exponent: float
     c_sy: float
-    wqs_preset: WqsCoefficients
-    wqs_reconstructed: WqsCoefficients
 
     def __post_init__(self):
         if not self.heaps_c > 0:
@@ -43,6 +43,14 @@ class LanguageParams:
             raise ValueError(f"entropy_exponent must be in (0,1), got {self.entropy_exponent}")
         if not self.c_sy > 0:
             raise ValueError(f"c_sy must be positive, got {self.c_sy}")
+
+
+@dataclass(frozen=True)
+class LanguageParams(ModelParams):
+    """A language's model parameters with its verbatim scale preset and its
+    reconstructed one."""
+    wqs_preset: WqsCoefficients
+    wqs_reconstructed: WqsCoefficients
 
 
 def heaps_predict(params: LanguageParams, L: int) -> float:
@@ -170,26 +178,32 @@ def fit_entropy_model(points: list[tuple[float, float]]) -> float:
     return e
 
 
-def load_language_params() -> dict[Language, LanguageParams]:
-    """Load the bundled per-language parameter table (LEXIGAUGE_PRESET_DIR
-    overrides the directory) and attach each language's verbatim scale preset
-    and its reconstructed one, rebuilt from the four reference tables of the
-    same directory."""
+def load_model_params() -> dict[Language, ModelParams]:
+    """Load the bundled per-language parameter table, language_params.csv
+    (LEXIGAUGE_PRESET_DIR overrides the directory). A bad row raises
+    ValueError naming its line."""
     resolved = data_path("language_params.csv")
-    presets = load_wqs_presets()
-    rows = load_bundled_tables()
-    reconstructed = {lang: reconstruct(rows, lang, RECORDED_SCALE_FACTORS[lang.code.lower()])
-                     for lang in Language}
-    out: dict[Language, LanguageParams] = {}
+    out: dict[Language, ModelParams] = {}
     for line, (language, *values) in read_table(resolved, PARAM_COLUMNS):
         try:
-            language = Language.parse(language)
-            code = language.code.lower()
-            out[language] = LanguageParams(
-                language, *map(float, values),
-                wqs_preset=presets[f"verbatim-{code}"],
-                wqs_reconstructed=reconstructed[language],
-            )
+            params = ModelParams(Language.parse(language), *map(float, values))
         except ValueError as exc:
             raise ValueError(f"{resolved}:{line}: bad params row: {exc}") from exc
+        out[params.language] = params
+    return out
+
+
+def load_language_params() -> dict[Language, LanguageParams]:
+    """The model parameters of load_model_params, each with its language's
+    verbatim scale preset and its reconstructed one, rebuilt from the four
+    reference tables of the same directory."""
+    models = load_model_params()
+    presets = load_wqs_presets()
+    rows = load_bundled_tables()
+    out: dict[Language, LanguageParams] = {}
+    for language, params in models.items():
+        code = language.code.lower()
+        out[language] = LanguageParams(
+            **vars(params), wqs_preset=presets[f"verbatim-{code}"],
+            wqs_reconstructed=reconstruct(rows, language, RECORDED_SCALE_FACTORS[code]))
     return out

@@ -7,9 +7,7 @@ coefficient, so ipsz - res = 0.015 * S identically. Scores are reported raw,
 without clamping to [0, 100].
 
 Syllables are estimated from character counts, L_SY = L_CH / C_SY, with a
-per-language characters-per-syllable constant. C_SY_ALTERNATES carries other
-published constants for sensitivity checks; the shipped presets use the
-gualda values.
+per-language characters-per-syllable constant.
 """
 from __future__ import annotations
 
@@ -23,13 +21,6 @@ from .tokenizer import TokenizedText
 class ReadabilityInputs:
     W: float
     S: float
-
-
-C_SY_ALTERNATES = {
-    "gualda": {"English": 3.57, "Spanish": 2.94},
-    "eaton": {"English": 1.69, "Spanish": 2.67},
-    "irest": {"English": 3.15, "Spanish": 1.9},
-}
 
 
 def readability_inputs(t: TokenizedText, params: LanguageParams) -> ReadabilityInputs:

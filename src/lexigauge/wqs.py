@@ -102,12 +102,12 @@ def wqs(coeffs: WqsCoefficients, point: StylePoint) -> float:
     return w.d_rel * shifted.d_rel + w.h_rel * shifted.h_rel + w.j * shifted.j
 
 
-def load_wqs_presets(path: str | None = None) -> dict[str, WqsCoefficients]:
-    """Presets from a `label,origin_d,origin_h,origin_j,w_d,w_h,w_j` file.
-    Defaults to the bundled file (LEXIGAUGE_PRESET_DIR overrides the
-    directory). The file must carry the verbatim preset of each language; one
-    missing raises ValueError naming the file and label."""
-    resolved = path if path is not None else data_path("wqs_presets.csv")
+def load_wqs_presets() -> dict[str, WqsCoefficients]:
+    """Presets from the bundled `label,origin_d,origin_h,origin_j,w_d,w_h,w_j`
+    file, wqs_presets.csv (LEXIGAUGE_PRESET_DIR overrides the directory). The
+    file must carry the verbatim preset of each language; one missing raises
+    ValueError naming the file and label."""
+    resolved = data_path("wqs_presets.csv")
     presets: dict[str, WqsCoefficients] = {}
     columns = ("label", "origin_d", "origin_h", "origin_j", "w_d", "w_h", "w_j")
     for line, (label, *values) in read_table(resolved, columns):

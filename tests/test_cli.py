@@ -273,7 +273,11 @@ def test_fit_entropy_computes_each_measure_once_per_text(synthetic_growth_corpus
     assert calls == {"specific_diversity": 5, "entropy": 5}
 
 
-def test_fit_writes_params_file(synthetic_growth_corpus, tmp_path):
+def test_fit_writes_params_file(synthetic_growth_corpus, tmp_path, monkeypatch):
+    # the parameter file is the one data file fit --out reads
+    (tmp_path / "data").mkdir()
+    shutil.copy(data_dir() / "language_params.csv", tmp_path / "data")
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(tmp_path / "data"))
     out = tmp_path / "params.csv"
     assert main(["fit", "--manifest", str(synthetic_growth_corpus), "--model", "heaps",
                  "--out", str(out)]) == 0
@@ -386,8 +390,12 @@ def test_tables_output(capsys):
     assert "es-nobel" in out
 
 
-def test_tables_missing_dir(tmp_path):
-    assert main(["tables", "--reference-dir", str(tmp_path / "empty")]) == 1
+def test_tables_missing_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(tmp_path / "empty"))
+    assert main(["tables"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bundled data file 'english_non_nobel.csv' not found in {tmp_path / 'empty'} "
+        "(set LEXIGAUGE_PRESET_DIR to a directory containing it, or unset it)\n")
 
 
 def test_plot_data_entropy(capsys):
@@ -553,13 +561,14 @@ def _edit(path, old, new):
     path.write_text(text.replace(old, new, 1), encoding="utf-8", errors="surrogateescape")
 
 
-def test_verify_detects_corruption(work, capsys):
+def test_verify_detects_corruption(work, monkeypatch, capsys):
     target = work / "english_non_nobel.csv"
     text = target.read_text(encoding="utf-8")
     assert "0.515" in text
     target.write_text(text.replace("E1,1381.JohnBall,S,O,0.515", "E1,1381.JohnBall,S,O,0.525", 1),
                       encoding="utf-8")
-    assert main(["verify", "--reference-dir", str(work)]) == 1
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
+    assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "E1" in out
     assert "FAIL" in out
@@ -570,12 +579,26 @@ def test_verify_detects_corruption(work, capsys):
     ["analyze", str(data_dir() / "texts" / "gettysburg_address.txt"), "--lang", "en"],
     ["analyze", str(data_dir() / "texts" / "gettysburg_address.txt"), "--lang", "en",
      "--preset", "reconstructed-en"],
+    ["plot-data", "--figure", "entropy"],
+    ["fit", "--manifest", "MANIFEST", "--model", "heaps", "--out", "OUT"],
+    ["plot-data", "--figure", "diversity", "--report", "REPORT"],
 ])
-def test_each_reference_table_is_opened_once(monkeypatch, capsys, argv):
+def test_each_reference_table_is_opened_once(synthetic_growth_corpus, tmp_path, monkeypatch,
+                                             capsys, argv):
+    report = tmp_path / "report.csv"
+    if "REPORT" in argv:
+        assert main(["analyze", str(data_dir() / "texts" / "gettysburg_address.txt"),
+                     "--lang", "en", "--out", str(report)]) == 0
+    paths = {"MANIFEST": synthetic_growth_corpus, "OUT": tmp_path / "fitted.csv", "REPORT": report}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
     # analyze reads the tables to rebuild the reconstructed presets, verify the
-    # presets to check the published ones; no model curve needs parameters
-    reads = {"wqs_presets.csv": int(argv[0] in ("analyze", "verify")),
-             "language_params.csv": int(argv[0] == "analyze")}
+    # presets to check the published ones; a model curve and the file fit
+    # writes need only the model parameters, and a report replaces the tables
+    reads = {name: int(argv[0] != "fit" and "--report" not in argv)
+             for name, _, _ in BUNDLED_TABLES}
+    reads["wqs_presets.csv"] = int(argv[0] in ("analyze", "verify"))
+    reads["language_params.csv"] = int(argv[0] in ("analyze", "fit")
+                                       or "entropy" in argv or "diversity" in argv)
     opened = Counter()
 
     def counting_open(file, *args, **kwargs):
@@ -586,37 +609,37 @@ def test_each_reference_table_is_opened_once(monkeypatch, capsys, argv):
     builtins_open = builtins.open
     monkeypatch.setattr(builtins, "open", counting_open)
     assert main(argv) == 0
-    assert [opened[(data_dir() / name).resolve()] for name, _, _ in BUNDLED_TABLES] == [1] * 4
     assert {name: opened[(data_dir() / name).resolve()] for name in reads} == reads
 
 
-def _verify_fails(work, capsys) -> list[str]:
+def _verify_fails(work, monkeypatch, capsys) -> list[str]:
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
     capsys.readouterr()
-    assert main(["verify", "--reference-dir", str(work)]) == 1
+    assert main(["verify"]) == 1
     return [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
 
 
-def test_verify_names_a_row_missing_from_the_sidecar(work, capsys):
+def test_verify_names_a_row_missing_from_the_sidecar(work, monkeypatch, capsys):
     _edit(work / "integrity.csv", "english_non_nobel.csv,ET1,7ea3a3c86c\n", "")
-    assert _verify_fails(work, capsys) == [
+    assert _verify_fails(work, monkeypatch, capsys) == [
         "FAIL  row digests: english_non_nobel.csv row ET1: not in integrity sidecar"]
 
 
-def test_verify_names_the_line_of_a_bad_byte_in_the_sidecar(work, capsys):
+def test_verify_names_the_line_of_a_bad_byte_in_the_sidecar(work, monkeypatch, capsys):
     sidecar = work / "integrity.csv"
     row = "english_non_nobel.csv,ET1,7ea3a3c86c"
     line = sidecar.read_text(encoding="utf-8").splitlines().index(row) + 1
     _edit(sidecar, row, row[:-2] + "\udcff")
-    [fail] = _verify_fails(work, capsys)
+    [fail] = _verify_fails(work, monkeypatch, capsys)
     assert fail.startswith(f"FAIL  row digests: {sidecar}:{line}: not UTF-8 (byte 0xff"), fail
 
 
-def test_verify_names_a_sidecar_row_missing_from_its_table(work, capsys):
+def test_verify_names_a_sidecar_row_missing_from_its_table(work, monkeypatch, capsys):
     # E96 is a novel segment: no group statistic counts it
     _edit(work / "english_non_nobel.csv",
           "E96,IsaacAsimov.IRobot.Cap2,N,O,0.1870,0.7680,0.0050,-0.0110,0.1894,73.2634,-0.5956\n",
           "")
-    assert _verify_fails(work, capsys) == [
+    assert _verify_fails(work, monkeypatch, capsys) == [
         "FAIL  row digests: english_non_nobel.csv row E96: listed in sidecar but missing from table"]
 
 
@@ -643,7 +666,8 @@ def _keep_rows(table, n):
     ("uniform group",
      "scale en-nobel correlation: correlation undefined for a zero-variance sample"),
 ])
-def test_a_group_unfit_for_its_statistics_is_named(work, capsys, command, case, message):
+def test_a_group_unfit_for_its_statistics_is_named(work, monkeypatch, capsys, command, case,
+                                                   message):
     if case == "one row each":
         for name, _, _ in BUNDLED_TABLES:
             _keep_rows(work / name, 1)
@@ -653,8 +677,9 @@ def test_a_group_unfit_for_its_statistics_is_named(work, capsys, command, case, 
         _keep_rows(work / "english_nobel.csv", 2)
         _edit(work / "english_nobel.csv", "0.2730,0.8250,-0.0559,0.0092,0.0186,63.3497,0.3048",
               "0.3470,0.8500,0.0778,0.0030,0.0487,37.7653,0.3577")
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
     capsys.readouterr()
-    assert main([command, "--reference-dir", str(work)]) == 1
+    assert main([command]) == 1
     captured = capsys.readouterr()
     if command == "tables":
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
@@ -670,12 +695,13 @@ def test_a_group_unfit_for_its_statistics_is_named(work, capsys, command, case, 
     ("EN2,1909.BS.Selma\udcffLagerlof,S,O,0.2730,0.8250,-0.0559,0.0092,0.0186,63.3497,0.3048",
      "not UTF-8 (byte 0xff at offset"),
 ])
-def test_malformed_reference_row_names_its_line(work, capsys, argv, bad, message):
+def test_malformed_reference_row_names_its_line(work, monkeypatch, capsys, argv, bad, message):
     table = work / "english_nobel.csv"
     _edit(table, "EN2,1909.BS.SelmaLagerlof,S,O,0.2730,0.8250,-0.0559,0.0092,0.0186,63.3497,0.3048",
           bad)
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
     capsys.readouterr()
-    assert main([*argv, "--reference-dir", str(work)]) == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert f"{table}:5: {message}" in captured.out + captured.err
 
@@ -703,6 +729,9 @@ def test_malformed_parameter_file_names_its_line(work, synthetic_growth_corpus, 
     if command == "verify" and name == "language_params.csv":
         assert main(argv) == 0  # verify reads no model parameters
         return
+    if command in ("fit-out", "plot-data") and name == "wqs_presets.csv":
+        assert main(argv) == 0  # the parameter file and the curves need no presets
+        return
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -710,7 +739,7 @@ def test_malformed_parameter_file_names_its_line(work, synthetic_growth_corpus, 
 
 
 @pytest.mark.parametrize("label", ["verbatim-en"])
-@pytest.mark.parametrize("command", ["analyze", "verify", "verify-dir"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_preset_file_missing_a_label_names_it(work, monkeypatch, capsys, label, command):
     presets = work / "wqs_presets.csv"
     lines = presets.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -720,12 +749,45 @@ def test_preset_file_missing_a_label_names_it(work, monkeypatch, capsys, label, 
     argv = {
         "analyze": ["analyze", str(data_dir() / "texts" / "gettysburg_address.txt"), "--lang", "en"],
         "verify": ["verify"],
-        "verify-dir": ["verify", "--reference-dir", str(work)],
     }[command]
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert f"{presets}: no preset {label!r}\n" in captured.out + captured.err
+
+
+def test_verify_needs_the_presets_of_the_env_dir(work, monkeypatch, capsys):
+    (work / "wqs_presets.csv").unlink()
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL  table load: bundled data file 'wqs_presets.csv' not found in {work} "
+        "(set LEXIGAUGE_PRESET_DIR to a directory containing it, or unset it)\n"
+        "1 hard failure\n")
+
+
+def test_plot_data_curves_follow_the_parameters_of_the_env_dir(work, tmp_path, monkeypatch,
+                                                               capsys):
+    report = tmp_path / "report.csv"
+    assert main(["analyze", str(data_dir() / "texts" / "gettysburg_address.txt"),
+                 "--lang", "en", "--out", str(report)]) == 0
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
+    figures = {"entropy": [], "diversity": ["--report", str(report)]}
+
+    def plot(figure):
+        """The English curve rows of the figure, and all its other lines."""
+        capsys.readouterr()
+        assert main(["plot-data", "--figure", figure, *figures[figure]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return ([line for line in lines if line.startswith("curve-en,")],
+                [line for line in lines if not line.startswith("curve-en,")])
+
+    before = {figure: plot(figure) for figure in figures}
+    _edit(work / "language_params.csv", "English,3.766,0.67,0.1523,", "English,4.5,0.67,0.2,")
+    for figure in figures:
+        curve, rest = plot(figure)
+        assert len(curve) == 100 and curve != before[figure][0], figure
+        assert rest == before[figure][1], figure
 
 
 def test_reconstructed_presets_follow_the_tables_of_the_preset_dir(work, monkeypatch, capsys):
@@ -748,7 +810,8 @@ def test_reconstructed_presets_follow_the_tables_of_the_preset_dir(work, monkeyp
     (work / "english_non_nobel.csv").unlink()
     assert main(["analyze", text, "--lang", "en"]) == 1
     assert capsys.readouterr().err == (
-        f"error: reference table english_non_nobel.csv not found in {work}\n")
+        f"error: bundled data file 'english_non_nobel.csv' not found in {work} "
+        "(set LEXIGAUGE_PRESET_DIR to a directory containing it, or unset it)\n")
 
 
 def test_analyze_without_parameters_for_its_language(work, monkeypatch, capsys):

@@ -1,8 +1,10 @@
 import csv
 import io
+import os
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -372,7 +374,8 @@ def test_reference_table_matches_the_dictreader_loader(table):
             writer.writerow(["file", "id", "digest"])
             writer.writerows(("t.csv", rid, digest) for rid, digest in loop_digests(path))
         checks: list = []
-        _verify_digests(checks, Path(tmp), {"t.csv": cells})
+        with mock.patch.dict(os.environ, {"LEXIGAUGE_PRESET_DIR": tmp}):
+            _verify_digests(checks, {"t.csv": cells})
         assert checks == [("PASS", f"row digests: all {len(cells)} rows intact")]
 
 

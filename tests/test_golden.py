@@ -175,20 +175,20 @@ USAGE_SHA256 = {
     "--help": (0, "9269750bc24c54b587f91ced7146092dba9dbeef18685a36167d54fd935bebf0"),
     "analyze --help": (0, "0405a67d64d3d1b57ff1e362a53bdeba3209d3d2c4cfe1005c6d233e696e092c"),
     "fit --help": (0, "0aab5014d199808e6fdcdfbb4a28d1fb6c35ded11a4a11dc689d0eb267417389"),
-    "tables --help": (0, "24bbbfc613fab7d8a6bb3b41ed4ce61b19c29127b1153a8b3265e906eec7d837"),
-    "plot-data --help": (0, "2513b204c95498b229aa65d9759e3873c97e83bc12021a914714a743caaec510"),
-    "verify --help": (0, "371b9df5b2ba6b4ee53f6b5e0847414f80aee9174e71fe7fc8a5a3a095f5ab13"),
+    "tables --help": (0, "c6df1b449e0c6105c680cd1c017f1ef762080dca4e133580cf745f816537cfce"),
+    "plot-data --help": (0, "7adeaad9782fa29f43b03dc31e7ea8c1f801a651e5ce65f9b901fc127c18526a"),
+    "verify --help": (0, "b20333ac1d31a8e66b2829048ec9426d5c1aa3fae0716a7fd19bce7b12621760"),
     "-h verify": (0, "9269750bc24c54b587f91ced7146092dba9dbeef18685a36167d54fd935bebf0"),
     "": (2, "50406aeaabaa9a9667877951aa4ed02caed3ff3fb92c931b0af63edbec58b7ad"),
     "--": (2, "50406aeaabaa9a9667877951aa4ed02caed3ff3fb92c931b0af63edbec58b7ad"),
     "bogus": (2, "6232a9fbde6f7a69351c4f31adc9b361c6207028667bdcab023af35b9a16fe21"),
     "ver": (2, "bb9342d3e61c17f18c279d581a9e5246cc3620691bec20300701e5637afed4e5"),
     "verify --bogus": (2, "f3e72ada372a88d28470f8f808ce1781ed70936d4b95d68b836bf51a3f5da604"),
-    "verify --tolerance abc": (2, "f24f0a6e2a8ed37425b6a7002134777c6cb05ee80d58e9198c5783463959a235"),
+    "verify --tolerance abc": (2, "02ca849f5c1e0691378d5dcc2ebd43ce9ddb27b6f02783313002387ff214b48d"),
     "analyze": (2, "55e7a280008fe4c9fb839f47c272512efc62420c8c0154befe1e739db1dde01d"),
     "analyze x.txt --lang fr": (2, "0a5d375c74eafa618c1f4a8ae32e6b2cac996257d377a792e9828b06e3a06b8b"),
     "fit --manifest m.csv": (2, "395aaad40180dce18002ff4433dd3e4f7a303613c39a7e90e89da72e932b7323"),
-    "plot-data --figure nope": (2, "8711ed7ea55dc76abc1e020c93ce1bda6e02789ca881b3afe51ae653b2091490"),
+    "plot-data --figure nope": (2, "3c8f015f67a92e116abcad6b096b1ba14859d9b9478c880a273ce15ce9e7f1e7"),
 }
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from lexigauge.corpus import Language
 from lexigauge.models import load_language_params
 from lexigauge.readability import (
-    C_SY_ALTERNATES,
     ReadabilityInputs,
     ipsz,
     readability_inputs,
@@ -79,12 +78,6 @@ def test_language_dispatch(en_params, es_params):
     inputs = ReadabilityInputs(W=1.5, S=10)
     assert score(inputs, en_params) == res(inputs)
     assert score(inputs, es_params) == ipsz(inputs)
-
-
-def test_alternate_syllable_constants():
-    assert C_SY_ALTERNATES["gualda"] == {"English": 3.57, "Spanish": 2.94}
-    assert C_SY_ALTERNATES["eaton"]["English"] == 1.69
-    assert C_SY_ALTERNATES["irest"]["Spanish"] == 1.9
 
 
 rates = st.floats(min_value=0.0, max_value=60.0)
