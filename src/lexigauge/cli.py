@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import targets
-from ._data import data_dir, read_table
 from .corpus import (
     CorpusEntry,
     Genre,
@@ -43,7 +42,7 @@ from .pipeline import AnalysisError, TextMetrics, analyze_text
 from .profile import build_profile, entropy, specific_diversity
 from .stats import linear_regression
 from .tokenizer import tokenize
-from .wqs import load_wqs_presets, wqs, StylePoint
+from .wqs import load_wqs_presets
 from .zipf import fit_zipf_exponent
 
 
@@ -353,131 +352,27 @@ def cmd_plotdata(args) -> int:
 # ----------------------------------------------------------------- verify
 
 
-def _check(checks: list, ok: bool, message: str, info: bool = False) -> None:
-    checks.append(("INFO" if info else ("PASS" if ok else "FAIL"), message))
-
-
-def _verify_digests(checks: list, cells: dict) -> None:
-    """Check each row's md5 digest of its seven metric cells, as written (the
-    cells load_bundled_tables collected), against the integrity sidecar."""
-    import hashlib  # only verify needs it; other commands skip loading _hashlib
-
-    sidecar = data_dir() / "integrity.csv"
-    if not sidecar.is_file():
-        _check(checks, True, "row digests: no integrity.csv sidecar; skipped", info=True)
-        return
-    try:
-        expected = {(name, rid): digest for _, (name, rid, digest)
-                    in read_table(sidecar, ("file", "id", "digest"))}
-    except ValueError as exc:
-        _check(checks, False, f"row digests: {exc}")
-        return
-    bad = []
-    seen = set()
-    for name, table in cells.items():
-        for rid, numeric in table:
-            digest = hashlib.md5("|".join(numeric).encode()).hexdigest()[:10]
-            key = (name, rid)
-            seen.add(key)
-            if key not in expected:
-                bad.append(f"{name} row {rid}: not in integrity sidecar")
-            elif expected[key] != digest:
-                bad.append(f"{name} row {rid}: numeric fields altered")
-    missing = sorted(set(expected) - seen)
-    for key in missing:
-        bad.append(f"{key[0]} row {key[1]}: listed in sidecar but missing from table")
-    if bad:
-        for b in bad[:10]:
-            _check(checks, False, f"row digests: {b}")
-        if len(bad) > 10:
-            _check(checks, False, f"row digests: ... and {len(bad) - 10} more")
-    else:
-        _check(checks, True, f"row digests: all {len(seen)} rows intact")
-
-
 def cmd_verify(args) -> int:
-    tol = args.tolerance
-    if not tol >= 0:  # also rejects nan
-        print("error: --tolerance must be >= 0", file=sys.stderr)
+    if not 0 <= args.tolerance < math.inf:  # also rejects nan
+        print("error: --tolerance must be finite and >= 0", file=sys.stderr)
         return 2
-    checks: list[tuple[str, str]] = []
     cells: dict[str, list] = {}
     try:
         rows = load_bundled_tables(cells)
         presets = load_wqs_presets()
     except (OSError, ValueError) as exc:
-        print(f"FAIL  table load: {exc}")
-        print("1 hard failure")
+        print(f"FAIL  table load: {exc}\n1 hard failure")
         return 1
     try:
-        records = targets.recompute(rows)
+        checks = targets.checks(rows, presets, cells, args.tolerance)
     except ValueError as exc:
-        print(f"FAIL  statistics: {exc}")
-        print("1 hard failure")
+        print(f"FAIL  statistics: {exc}\n1 hard failure")
         return 1
-
-    _verify_digests(checks, cells)
-
-    sizes = {r.group: r.n for r in records if r.group in targets.GROUPS}
-    _check(checks, sizes == targets.GROUP_SIZES,
-           f"group sizes: {sizes} vs recorded {targets.GROUP_SIZES}")
-
-    for r in records:
-        if r.field == "p" and r.kind == "lt":
-            message = f"{r.metric} p {r.group}: {r.got:.3g} < recorded bound {r.recorded:g}"
-        elif r.field == "p":
-            message = f"{r.metric} p {r.group}: {r.got:.4g} vs recorded {r.recorded:g}"
-        elif r.metric == "scale":
-            if r.field == targets.SCALE_FIELDS[0]:  # the group's size precedes its cells
-                n_rec = targets.RECORDED_SCALE_STATS[r.group][0]
-                _check(checks, r.n == n_rec, f"scale group {r.group} n: {r.n} vs {n_rec}")
-            message = (f"{r.group} {r.field}: {r.got:.4f} vs recorded {r.recorded:.2f} "
-                       f"(delta {r.got - r.recorded:+.4f})")
-        else:
-            message = (f"{r.metric} {r.group} {r.field}: {r.got:.5f} vs recorded "
-                       f"{r.recorded:.5f} (delta {r.got - r.recorded:+.5f})")
-        if r.documented:
-            _check(checks, True, message + " [documented divergence]", info=True)
-        else:
-            _check(checks, r.holds(tol), message)
-
-    for code in ("en", "es"):
-        coeffs = presets[f"verbatim-{code}"]
-        direction = targets.RECORDED_DIRECTIONS[code]
-        weights = (coeffs.weights.d_rel, coeffs.weights.h_rel, coeffs.weights.j)
-        ratios = [w / d for w, d in zip(weights, direction)]
-        spread = max(ratios) / min(ratios) - 1
-        _check(checks, spread < 1e-4,
-               f"verbatim-{code} weight/direction ratios agree: spread {spread:.2e}")
-        mean_ratio = sum(ratios) / 3
-        rec_scale = targets.RECORDED_SCALE_FACTORS[code]
-        _check(checks, abs(mean_ratio - rec_scale) < 1e-3,
-               f"verbatim-{code} scale factor {mean_ratio:.4f} vs recorded {rec_scale}")
-
-    e1 = targets.E1_SCALE_CHECK
-    e1_rows = [r for r in rows if r.entry.id == e1["row"]]
-    if not e1_rows:
-        _check(checks, False, f"row {e1['row']} missing from tables")
-    else:
-        row = e1_rows[0]
-        point = StylePoint(*e1["point"])
-        matches = (abs(row.d_rel - point.d_rel) < 5e-5 and abs(row.h_rel - point.h_rel) < 5e-5
-                   and abs(row.j - point.j) < 5e-5)
-        _check(checks, matches, f"row {e1['row']} coordinates match the recorded example point")
-        got = wqs(presets["verbatim-en"], point)
-        _check(checks, abs(got - e1["expected"]) <= e1["tolerance"],
-               f"verbatim-en scale on row {e1['row']}: {got:.4f} vs expected {e1['expected']}")
-        _check(checks, True,
-               f"row {e1['row']} recorded wqs column ({e1['recorded_column_value']}) differs from "
-               f"the scale evaluation ({got:.4f}); known recording inconsistency", info=True)
-
     for status, message in checks:
         print(f"{status:4s}  {message}")
-    failures = sum(1 for s, _ in checks if s == "FAIL")
-    infos = sum(1 for s, _ in checks if s == "INFO")
-    passes = sum(1 for s, _ in checks if s == "PASS")
-    print(f"\n{passes} passed, {failures} failed, {infos} informational")
-    return 1 if failures else 0
+    tally = Counter(status for status, _ in checks)
+    print(f"\n{tally['PASS']} passed, {tally['FAIL']} failed, {tally['INFO']} informational")
+    return 1 if tally["FAIL"] else 0
 
 
 # ------------------------------------------------------------------ main

@@ -3,8 +3,9 @@
 The bundled metric tables ship with the summary statistics their original
 analysis reported: per-group means and standard deviations, t-test p-values,
 and correlation coefficients. recompute() derives every one of these from
-the raw table rows, once; the tables and verify commands and the acceptance
-tests all read its records.
+the raw table rows, once; the tables command and the acceptance tests read
+its records, and checks() builds every line verify prints on them (a preset
+passes only if each weight has the sign of its published direction).
 
 A minority of the recorded cells cannot be reproduced from the bundled rows
 themselves; the recorded analysis evidently summarized a slightly different
@@ -18,11 +19,14 @@ all for the union of both splits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
+from ._data import data_dir, read_table
 from .corpus import GroupKey, Language, ReferenceRow, select_group
 from .stats import pearson, summarize, t_test
+from .wqs import StylePoint, WqsCoefficients, wqs
 
 # (n, mean, std) per group for the three style coordinates.
 RECORDED_GROUP_STATS = {
@@ -135,10 +139,13 @@ RECORDED_SCALE_FACTORS = {"en": 8.083, "es": 7.601}
 
 GROUP_SIZES = {label: n for label, (n, _, _) in RECORDED_GROUP_STATS["d_rel"].items()}
 
-# Base tolerances at --tolerance 1.0.
+# Base tolerances at --tolerance 1.0; the fixed ones do not scale with it.
 TOL_GROUP_CELL = 0.005      # absolute, mean/std of the style coordinates
 TOL_SCALE_CELL = 0.02       # absolute, wqs/readability means, stds, correlations
 TOL_PVALUE_REL = 0.20       # relative band on recomputed p-values
+TOL_RATIO_SPREAD = 1e-4     # fixed, max/min - 1 of a preset's weight/direction ratios
+TOL_SCALE_FACTOR = 1e-3     # fixed, their mean against RECORDED_SCALE_FACTORS
+TOL_E1_POINT = 5e-5         # fixed, row E1's coordinates against the recorded point
 
 
 # The four author groups, in the order every report lists them.
@@ -245,4 +252,101 @@ def recompute(rows: list[ReferenceRow]) -> list[Recomputed]:
         a, b = values[f"{lang}-nobel", metric], values[f"{lang}-non", metric]
         out.append(Recomputed("scale", pair, "p", len(a) + len(b), t_test(a, b), rec, kind,
                               TOL_PVALUE_REL))
+    return out
+
+
+def _digest_checks(cells: dict[str, list]) -> list[tuple[str, str]]:
+    """The row digest lines: each row's md5 digest of its seven metric cells as
+    written (see load_bundled_tables) against the data directory's sidecar."""
+    import hashlib  # only verify needs it; other commands skip loading _hashlib
+
+    sidecar = data_dir() / "integrity.csv"
+    if not sidecar.is_file():
+        return [("INFO", "row digests: no integrity.csv sidecar; skipped")]
+    try:
+        expected = {(name, rid): digest for _, (name, rid, digest)
+                    in read_table(sidecar, ("file", "id", "digest"))}
+    except ValueError as exc:
+        return [("FAIL", f"row digests: {exc}")]
+    bad = []
+    seen = set()
+    for name, table in cells.items():
+        for rid, numeric in table:
+            seen.add((name, rid))
+            if (name, rid) not in expected:
+                bad.append(f"{name} row {rid}: not in integrity sidecar")
+            elif expected[name, rid] != hashlib.md5("|".join(numeric).encode()).hexdigest()[:10]:
+                bad.append(f"{name} row {rid}: numeric fields altered")
+    bad += [f"{name} row {rid}: listed in sidecar but missing from table"
+            for name, rid in sorted(set(expected) - seen)]
+    if not bad:
+        return [("PASS", f"row digests: all {len(seen)} rows intact")]
+    out = [("FAIL", f"row digests: {b}") for b in bad[:10]]
+    if len(bad) > 10:
+        out.append(("FAIL", f"row digests: ... and {len(bad) - 10} more"))
+    return out
+
+
+def checks(rows: list[ReferenceRow], presets: dict[str, WqsCoefficients],
+           cells: dict[str, list], tolerance: float) -> list[tuple[str, str]]:
+    """Every line of the verify report as (status, message), status PASS,
+    FAIL or INFO, in report order: the row digests of cells, the group
+    sizes, each recomputed statistic within its band times tolerance, the
+    verbatim presets against the published constants, then row E1. A group
+    unfit for a statistic raises ValueError, as in recompute."""
+    records = recompute(rows)
+    out = _digest_checks(cells)
+
+    def check(ok: bool, message: str) -> None:
+        out.append(("PASS" if ok else "FAIL", message))
+
+    sizes = {r.group: r.n for r in records if r.group in GROUPS}
+    check(sizes == GROUP_SIZES, f"group sizes: {sizes} vs recorded {GROUP_SIZES}")
+
+    for r in records:
+        if r.field == "p" and r.kind == "lt":
+            message = f"{r.metric} p {r.group}: {r.got:.3g} < recorded bound {r.recorded:g}"
+        elif r.field == "p":
+            message = f"{r.metric} p {r.group}: {r.got:.4g} vs recorded {r.recorded:g}"
+        elif r.metric == "scale":
+            if r.field == SCALE_FIELDS[0]:  # the group's size precedes its cells
+                n_rec = RECORDED_SCALE_STATS[r.group][0]
+                check(r.n == n_rec, f"scale group {r.group} n: {r.n} vs {n_rec}")
+            message = (f"{r.group} {r.field}: {r.got:.4f} vs recorded {r.recorded:.2f} "
+                       f"(delta {r.got - r.recorded:+.4f})")
+        else:
+            message = (f"{r.metric} {r.group} {r.field}: {r.got:.5f} vs recorded "
+                       f"{r.recorded:.5f} (delta {r.got - r.recorded:+.5f})")
+        if r.documented:
+            out.append(("INFO", message + " [documented divergence]"))
+        else:
+            check(r.holds(tolerance), message)
+
+    for code, direction in RECORDED_DIRECTIONS.items():
+        w = presets[f"verbatim-{code}"].weights
+        ratios = [a / b for a, b in zip((w.d_rel, w.h_rel, w.j), direction)]
+        low = min(ratios)
+        # a negative ratio makes the spread negative, a zero one undefined
+        spread = max(ratios) / low - 1 if low else math.inf
+        check(low > 0 and spread < TOL_RATIO_SPREAD,
+              f"verbatim-{code} weight/direction ratios agree: spread {spread:.2e}")
+        mean_ratio = sum(ratios) / 3
+        rec_scale = RECORDED_SCALE_FACTORS[code]
+        check(abs(mean_ratio - rec_scale) < TOL_SCALE_FACTOR,
+              f"verbatim-{code} scale factor {mean_ratio:.4f} vs recorded {rec_scale}")
+
+    e1 = E1_SCALE_CHECK
+    row = next((r for r in rows if r.entry.id == e1["row"]), None)
+    if row is None:
+        check(False, f"row {e1['row']} missing from tables")
+        return out
+    coordinates = (row.d_rel, row.h_rel, row.j)
+    check(all(abs(a - b) < TOL_E1_POINT for a, b in zip(coordinates, e1["point"])),
+          f"row {e1['row']} coordinates match the recorded example point")
+    got = wqs(presets["verbatim-en"], StylePoint(*e1["point"]))
+    check(abs(got - e1["expected"]) <= e1["tolerance"],
+          f"verbatim-en scale on row {e1['row']}: {got:.4f} vs expected {e1['expected']}")
+    out.append(("INFO", f"row {e1['row']} recorded wqs column ({e1['recorded_column_value']}) "
+                        f"differs from the scale evaluation ({got:.4f}); known recording "
+                        "inconsistency"))
     return out

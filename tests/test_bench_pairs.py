@@ -73,4 +73,14 @@ def test_the_verdict_follows_the_better_direction():
 
 def test_seed_ranges():
     assert bench_pairs._seeds("101-103") == [101, 102, 103]
-    assert bench_pairs._seeds("7") == [7]
+    assert bench_pairs._seeds("7-8") == [7, 8]
+
+
+@pytest.mark.parametrize("seeds", ["7", "5-3", "x"])
+def test_fewer_than_two_seeds_is_a_usage_error_before_any_run(monkeypatch, capsys, seeds):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["PARENT", "CHANGE", "--workload", "corpus", "--seeds", seeds,
+                          "--seconds", "50"])
+    assert exit_info.value.code == 2
+    assert "argument --seeds" in capsys.readouterr().err

@@ -534,11 +534,11 @@ def test_verify_zero_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
 def test_verify_rejects_a_negative_or_nan_tolerance(capsys, tolerance):
     assert main(["verify", "--tolerance", tolerance]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: --tolerance must be >= 0\n")
+    assert (captured.out, captured.err) == ("", "error: --tolerance must be finite and >= 0\n")
 
 
 @pytest.fixture()
@@ -641,6 +641,19 @@ def test_verify_names_a_sidecar_row_missing_from_its_table(work, monkeypatch, ca
           "")
     assert _verify_fails(work, monkeypatch, capsys) == [
         "FAIL  row digests: english_non_nobel.csv row E96: listed in sidecar but missing from table"]
+
+
+@pytest.mark.parametrize("weights, fails", [
+    # ratios 3, 1 and -1 times the scale factor: their mean is still 7.601
+    ("16.7022,-1.0095,5.0762",
+     ["FAIL  verbatim-es weight/direction ratios agree: spread -4.00e+00"]),
+    ("5.5674,0,-5.0762", ["FAIL  verbatim-es weight/direction ratios agree: spread inf",
+                          "FAIL  verbatim-es scale factor 5.0677 vs recorded 7.601"]),
+])
+def test_verify_fails_a_preset_whose_weights_leave_the_published_signs(work, monkeypatch, capsys,
+                                                                       weights, fails):
+    _edit(work / "wqs_presets.csv", "5.5674,-1.0095,-5.0762", weights)
+    assert _verify_fails(work, monkeypatch, capsys) == fails
 
 
 def test_verify_skips_the_digests_without_a_sidecar_in_the_env_dir(work, monkeypatch, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from loop_tables import loop_digests, loop_load_reference_table
 
-from lexigauge.cli import _verify_digests, main
+from lexigauge.cli import main
 from lexigauge._data import data_dir, read_lines
 from lexigauge.corpus import (
     BUNDLED_TABLES,
@@ -29,7 +29,7 @@ from lexigauge.corpus import (
     save_manifest,
     select_group,
 )
-from lexigauge.targets import GROUPS, split_groups
+from lexigauge.targets import GROUPS, _digest_checks, split_groups
 
 
 
@@ -373,9 +373,8 @@ def test_reference_table_matches_the_dictreader_loader(table):
             writer = csv.writer(fh)
             writer.writerow(["file", "id", "digest"])
             writer.writerows(("t.csv", rid, digest) for rid, digest in loop_digests(path))
-        checks: list = []
         with mock.patch.dict(os.environ, {"LEXIGAUGE_PRESET_DIR": tmp}):
-            _verify_digests(checks, {"t.csv": cells})
+            checks = _digest_checks({"t.csv": cells})
         assert checks == [("PASS", f"row digests: all {len(cells)} rows intact")]
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from lexigauge.corpus import load_bundled_tables
@@ -8,8 +10,10 @@ from lexigauge.targets import (
     RECORDED_SCALE_STATS,
     SCALE_FIELDS,
     Recomputed,
+    checks,
     recompute,
 )
+from lexigauge.wqs import load_wqs_presets
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +80,38 @@ def test_record_sizes_match_recorded_group_sizes(records):
     for r in records:
         if r.field != "p":
             assert r.n == sizes[r.group], (r.metric, r.group, r.field)
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    """The bundled rows, their raw cells and the presets, as verify loads them."""
+    cells: dict = {}
+    rows = load_bundled_tables(cells)
+    return rows, load_wqs_presets(), cells
+
+
+@pytest.mark.parametrize("tolerance, tally", [
+    (1.0, {"PASS": 69, "INFO": 16}),
+    (0.0, {"PASS": 17, "FAIL": 52, "INFO": 16}),
+])
+def test_checks_tally_the_bundled_data_and_print_nothing(bundled, capsys, tolerance, tally):
+    rows, presets, cells = bundled
+    assert Counter(status for status, _ in checks(rows, presets, cells, tolerance)) == tally
+    assert capsys.readouterr() == ("", "")
+
+
+def test_checks_list_ten_altered_digests_and_count_the_rest(bundled):
+    rows, presets, cells = bundled
+    name = "english_nobel.csv"
+    altered = [(rid, ["9", *numeric[1:]]) for rid, numeric in cells[name][:13]]
+    lines = checks(rows, presets, {**cells, name: altered + cells[name][13:]}, 1.0)
+    digests = [(status, message) for status, message in lines if "row digests" in message]
+    assert digests == [("FAIL", f"row digests: {name} row {rid}: numeric fields altered")
+                       for rid, _ in altered[:10]] + [("FAIL", "row digests: ... and 3 more")]
+
+
+def test_checks_fail_without_row_e1(bundled):
+    rows, presets, cells = bundled
+    lines = checks([r for r in rows if r.entry.id != "E1"], presets, cells, 1.0)
+    assert lines[-1] == ("FAIL", "row E1 missing from tables")
+    assert sum("E1" in message for _, message in lines) == 1

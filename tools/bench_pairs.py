@@ -83,7 +83,10 @@ def _format(name: str, s: dict, unit: str, verdict: str) -> str:
 
 def _seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if len(seeds) < 2:  # summarize needs two pairs; fail before any run
+        raise argparse.ArgumentTypeError(f"need at least two seeds, A-B with A < B; got {text!r}")
+    return seeds
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, type=_seeds, help="A-B, inclusive")
+    parser.add_argument("--seeds", required=True, type=_seeds, help="A-B, inclusive, A < B")
     parser.add_argument("--seconds", required=True, type=float)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
