@@ -3,7 +3,7 @@ Tokenizing a text and ranking its symbol frequencies
 ====================================================
 """
 
-from lexigauge import build_profile, dump_profile, entropy, specific_diversity, tokenize
+from lexigauge import build_profile, entropy, specific_diversity, tokenize
 from lexigauge._data import data_path
 
 # Words and punctuation marks both count as symbols. Case is folded, curly
@@ -18,11 +18,12 @@ print(f"L={t.L} symbols, of which L_w={t.L_w} words; L_ph={t.L_ph} phrases; "
 # alphabetically so the ranking is reproducible.
 p = build_profile(t)
 print("\ntop of the profile:")
-print(dump_profile(p)[:200])
+for rank, (sym, f) in enumerate(p.entries[:6], start=1):
+    print(f"  rank {rank}: {sym!r} x{f}")
 
 # d = D/L measures vocabulary richness per symbol; h is Shannon entropy with
 # logarithm base D so it lands in [0, 1] regardless of vocabulary size.
-print(f"D={p.D} distinct symbols, d={specific_diversity(p):.4f}, h={entropy(p):.4f}")
+print(f"\nD={p.D} distinct symbols, d={specific_diversity(p):.4f}, h={entropy(p):.4f}")
 
 # The same measures on a real speech, bundled with the package.
 text = data_path("texts/gettysburg_address.txt").read_text(encoding="utf-8")

@@ -3,32 +3,22 @@ Group statistics over the bundled reference tables
 ==================================================
 """
 
-from lexigauge import (
-    GroupKey,
-    Language,
-    load_bundled_tables,
-    pearson,
-    select_group,
-    summarize,
-    t_test,
-)
+from lexigauge import load_bundled_tables, pearson, summarize, t_test
+from lexigauge.targets import GROUPS, split_groups
 
 rows = load_bundled_tables()
 print(f"{len(rows)} rows across four tables")
 
-groups = {
-    "en-nobel": select_group(rows, GroupKey(Language.ENGLISH, True)),
-    "en-non": select_group(rows, GroupKey(Language.ENGLISH, False)),
-    "es-nobel": select_group(rows, GroupKey(Language.SPANISH, True)),
-    "es-non": select_group(rows, GroupKey(Language.SPANISH, False)),
-}
-# grouping keeps speeches only, and laureate groups drop translations
-for label, g in groups.items():
-    print(f"  {label}: n={len(g)}")
+# The four groups that `tables` and `verify` use (plus the en-all and es-all
+# unions). Grouping keeps speeches only, and laureate groups drop translations.
+groups = split_groups(rows)
+for label in GROUPS:
+    print(f"  {label}: n={len(groups[label])}")
 
 # Per-group mean and sample standard deviation of each style coordinate.
 print(f"\n{'':10s} {'d_rel':>18s} {'h_rel':>18s} {'j':>18s}")
-for label, g in groups.items():
+for label in GROUPS:
+    g = groups[label]
     cells = []
     for metric in ("d_rel", "h_rel", "j"):
         s = summarize([getattr(r, metric) for r in g])
@@ -46,6 +36,6 @@ for metric in ("d_rel", "h_rel", "j"):
 
 # Quality correlates negatively with readability: the scale rewards exactly
 # the density that makes prose harder to read.
-en_all = groups["en-nobel"] + groups["en-non"]
+en_all = groups["en-all"]
 corr = pearson([r.wqs for r in en_all], [r.readability for r in en_all])
 print(f"\nwqs vs readability over {len(en_all)} english speeches: r={corr:+.3f}")

@@ -3,7 +3,6 @@ End-to-end analysis: library pipeline and the command line
 ==========================================================
 """
 
-import csv
 import subprocess
 import sys
 import tempfile
@@ -14,10 +13,8 @@ from lexigauge import (
     Genre,
     Language,
     Origin,
-    analyze_corpus,
     analyze_text,
     load_language_params,
-    save_manifest,
 )
 from lexigauge._data import data_path
 
@@ -34,34 +31,15 @@ print(f"L={m.L} D={m.D} d={m.d:.4f} h={m.h:.4f} g={m.g:.4f} j={m.j:+.4f}")
 print(f"d_rel={m.d_rel:+.4f} h_rel={m.h_rel:+.4f} readability={m.readability:.2f}")
 print(f"wqs: {m.wqs_verbatim:+.4f} (verbatim preset) {m.wqs_reconstructed:+.4f} (reconstructed)")
 
-# analyze_corpus takes a manifest and quarantines failures instead of dying.
-work = Path(tempfile.mkdtemp())
-(work / "missing.txt")  # deliberately never written
-entries = [
-    entry,
-    CorpusEntry(id="BAD", name="missing", genre=Genre.SPEECH,
-                language=Language.ENGLISH, origin=Origin.ORIGINAL,
-                nobel=False, source_path=str(work / "missing.txt")),
-]
-records, errors = analyze_corpus(entries, params)
-print(f"\ncorpus run: {len(records)} analyzed, {len(errors)} failed "
-      f"({errors[0].entry_id}: {type(errors[0].cause).__name__})")
-
 # The same pipeline drives the command line. A report is a csv (or jsonl)
 # with one row per text and a schema comment up top.
-report = work / "report.csv"
-subprocess.run([sys.executable, "-m", "lexigauge.cli", "analyze", str(sample),
-                "--lang", "en", "--out", str(report)], check=True)
-with open(report, encoding="utf-8") as fh:
-    for line in list(fh)[:3]:
-        print(line.rstrip()[:100])
-
-# Manifests round-trip through csv for batch runs.
-manifest = work / "manifest.csv"
-save_manifest(entries, manifest)
-print(f"\nmanifest written to {manifest}")
-with open(manifest, newline="", encoding="utf-8") as fh:
-    print(next(csv.reader(fh)))
+with tempfile.TemporaryDirectory() as work:
+    report = Path(work) / "report.csv"
+    subprocess.run([sys.executable, "-m", "lexigauge.cli", "analyze", str(sample),
+                    "--lang", "en", "--out", str(report)], check=True)
+    with open(report, encoding="utf-8") as fh:
+        for line in list(fh)[:3]:
+            print(line.rstrip()[:100])
 
 # plot-data emits figure-ready points; verify checks the bundled tables
 # against their recorded statistics (exit 0 means everything reproduces).

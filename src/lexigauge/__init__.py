@@ -18,8 +18,6 @@ from .corpus import (
     load_bundled_tables,
     load_manifest,
     load_reference_table,
-    load_report,
-    save_manifest,
     select_group,
 )
 from .models import (
@@ -32,11 +30,10 @@ from .models import (
     relative_diversity,
     relative_entropy,
 )
-from .pipeline import AnalysisError, TextMetrics, analyze_corpus, analyze_text
+from .pipeline import AnalysisError, TextMetrics, analyze_text, load_report
 from .profile import (
     RankedProfile,
     build_profile,
-    dump_profile,
     entropy,
     specific_diversity,
 )

@@ -48,6 +48,16 @@ def read_lines(path: str | Path) -> list[str]:
     return io.StringIO(text.removeprefix("\ufeff"), newline="").readlines()
 
 
+def read_csv(path: str | Path) -> tuple[csv.DictReader, int]:
+    """A reader over a CSV file after its leading `#` comment lines, and the
+    number of those lines: a row ends on physical line comments + line_num.
+    A short row's missing cells read as empty. Bytes that are not UTF-8 raise
+    ValueError naming the file and the line."""
+    lines = read_lines(path)
+    comments = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    return csv.DictReader(lines[comments:], restval=""), comments
+
+
 def read_table(path: str | Path, columns: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
     """Read a CSV file in which every line starting with `#` is a comment.
     The list returned holds (line, cells) for each non-blank record after the

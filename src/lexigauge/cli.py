@@ -32,13 +32,11 @@ from .corpus import (
     _parse_year,
     load_bundled_tables,
     load_manifest,
-    load_report,
     load_text,
-    write_report,
 )
 from .models import (PARAM_COLUMNS, fit_entropy_model, fit_heaps, load_language_params,
                      load_model_params)
-from .pipeline import AnalysisError, TextMetrics, analyze_text
+from .pipeline import AnalysisError, TextMetrics, analyze_text, load_report, write_report
 from .profile import build_profile, entropy, specific_diversity
 from .stats import linear_regression
 from .tokenizer import tokenize

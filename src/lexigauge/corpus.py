@@ -6,20 +6,15 @@ plain comments.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
-from ._data import data_path, read_lines, read_table
-
-if TYPE_CHECKING:  # pipeline imports this module
-    from .pipeline import TextMetrics
+from ._data import data_path, read_csv, read_table
 
 _YEAR_PREFIX = re.compile(r"^(\d{4})\.")
 
@@ -114,23 +109,13 @@ def _parse_bool(text: str, where: str) -> bool:
 MANIFEST_COLUMNS = ("id", "name", "genre", "origin", "language", "nobel", "year", "source_path")
 
 
-def _read_csv(path: str | Path) -> tuple[csv.DictReader, int]:
-    """A reader over a CSV file after its leading `#` comment lines, and the
-    number of those lines: a row ends on physical line comments + line_num.
-    A short row's missing cells read as empty. Bytes that are not UTF-8 raise
-    ValueError naming the file and the line."""
-    lines = read_lines(path)
-    comments = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
-    return csv.DictReader(lines[comments:], restval=""), comments
-
-
 def load_manifest(path: str | Path) -> list[CorpusEntry]:
     """Read a corpus manifest; `#` lines before the header are comments.
     Missing year falls back to a leading 'YYYY.' prefix of the name; empty
     source_path means no text on disk."""
     entries: list[CorpusEntry] = []
     seen: set[str] = set()
-    reader, comments = _read_csv(path)
+    reader, comments = read_csv(path)
     if reader.fieldnames is None:
         return entries
     missing = [c for c in MANIFEST_COLUMNS[:6] if c not in reader.fieldnames]
@@ -160,20 +145,8 @@ def load_manifest(path: str | Path) -> list[CorpusEntry]:
     return entries
 
 
-def save_manifest(entries: list[CorpusEntry], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for e in entries:
-            writer.writerow([
-                e.id, e.name, e.genre.value, e.origin.value, e.language.code,
-                "true" if e.nobel else "false",
-                "" if e.year is None else e.year,
-                e.source_path or "",
-            ])
-
-
-METRIC_FIELDS = ("d", "h", "d_rel", "h_rel", "j", "readability", "wqs")
+# the recorded metrics of a row, in table order: every ReferenceRow field after entry
+METRIC_FIELDS = tuple(f.name for f in fields(ReferenceRow)[1:])
 REFERENCE_COLUMNS = ("id", "name", "genre", "origin", *METRIC_FIELDS)
 
 _GENRES = {g.value: g for g in Genre}
@@ -188,16 +161,22 @@ def load_reference_table(
 ) -> list[ReferenceRow]:
     """Read one metric table of the group (language, nobel). If cells is
     given, each row's id and seven metric cells, exactly as written, are
-    appended to it. A malformed row raises ValueError naming its line."""
+    appended to it. A malformed row, or an id already in the table, raises
+    ValueError naming its line."""
     rows: list[ReferenceRow] = []
+    seen: set[str] = set()
     for line, (raw_id, name, genre, origin, *numeric) in read_table(path, REFERENCE_COLUMNS):
+        rid = raw_id.strip()
+        if rid in seen:
+            raise ValueError(f"{path}:{line}: duplicate id {rid!r}")
+        seen.add(rid)
         try:
             name = name.strip()
-            entry = CorpusEntry(raw_id.strip(), name, _GENRES[genre.strip()], language,
+            entry = CorpusEntry(rid, name, _GENRES[genre.strip()], language,
                                 _ORIGINS[origin.strip()], nobel, _parse_year(name))
             rows.append(ReferenceRow(entry, *map(float, numeric)))
         except (KeyError, ValueError) as exc:
-            _raise_row_error(f"{path}:{line}", raw_id.strip(), genre, origin, numeric, exc)
+            _raise_row_error(f"{path}:{line}", rid, genre, origin, numeric, exc)
         if cells is not None:
             cells.append((raw_id, numeric))
     return rows
@@ -261,72 +240,3 @@ def load_text(entry: CorpusEntry) -> str:
         raise FileNotFoundError("source text not found")
     with open(entry.source_path, "rb") as fh:
         return fh.read().decode("utf-8")
-
-
-SCHEMA = "lexigauge-report-v1"
-
-REPORT_COLUMNS = (
-    "id", "name", "genre", "origin", "L", "D", "d", "h", "g", "j",
-    "d_rel", "h_rel", "W", "S", "readability", "wqs_verbatim", "wqs_reconstructed",
-)
-
-# how load_report types each column; every column not listed is a float
-_REPORT_TYPES = {"id": str, "name": str, "genre": str, "origin": str, "L": int, "D": int}
-_REPORT_FLOATS = tuple(c for c in REPORT_COLUMNS if c not in _REPORT_TYPES)
-
-
-def _record_values(m: TextMetrics) -> dict:
-    """Report values in REPORT_COLUMNS order: the entry's fields, then the
-    TextMetrics attribute of the same name for every other column, floats
-    as text at the printed precision of 6 decimals."""
-    values = {
-        "id": m.entry.id,
-        "name": m.entry.name,
-        "genre": m.entry.genre.value,
-        "origin": m.entry.origin.value,
-    }
-    values.update((c, getattr(m, c)) for c in REPORT_COLUMNS if c not in values)
-    values.update((c, f"{values[c]:.6f}") for c in _REPORT_FLOATS)
-    return values
-
-
-def write_report(records: list[TextMetrics], fmt: str, stream) -> None:
-    """Serialize records as delimited text (csv) or line-delimited records
-    (jsonl). Both carry the schema version; both are deterministic."""
-    rows = [_record_values(m) for m in records]
-    if fmt == "csv":
-        stream.write(f"# schema: {SCHEMA}\n")
-        writer = csv.DictWriter(stream, REPORT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    elif fmt == "jsonl":
-        for values in rows:
-            values.update((c, float(values[c])) for c in _REPORT_FLOATS)
-            stream.write(json.dumps({"schema": SCHEMA, **values}) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-
-
-def load_report(path: str | Path) -> list[dict]:
-    """Parse a csv report written by write_report back into typed records
-    (ints for counts, floats for metrics). `#` lines before the header are
-    comments. A malformed row or a jsonl report raises ValueError."""
-    records: list[dict] = []
-    reader, comments = _read_csv(path)
-    if reader.fieldnames is None:
-        return records
-    if reader.fieldnames[0].startswith("{"):
-        raise ValueError(f"{path}: a jsonl report; only the csv form (analyze --format csv) is read")
-    missing = [c for c in REPORT_COLUMNS if c not in reader.fieldnames]
-    if missing:
-        raise ValueError(f"{path}: report missing columns {missing}")
-    for row in reader:
-        rec: dict = {}
-        try:
-            for col in REPORT_COLUMNS:
-                rec[col] = _REPORT_TYPES.get(col, float)(row[col])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{comments + reader.line_num}: malformed report row "
-                             f"({col}): {exc}") from exc
-        records.append(rec)
-    return records

@@ -11,7 +11,7 @@ work and never returns a worse fit than its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import mul, sub
 
 from ._data import data_path, read_table
@@ -19,9 +19,6 @@ from .corpus import Language, load_bundled_tables
 from .stats import linear_regression
 from .targets import RECORDED_SCALE_FACTORS
 from .wqs import WqsCoefficients, load_wqs_presets, reconstruct
-
-# the columns of a parameter file, in order
-PARAM_COLUMNS = ("language", "heaps_c", "heaps_beta", "entropy_exponent", "c_sy")
 
 
 @dataclass(frozen=True)
@@ -43,6 +40,10 @@ class ModelParams:
             raise ValueError(f"entropy_exponent must be in (0,1), got {self.entropy_exponent}")
         if not self.c_sy > 0:
             raise ValueError(f"c_sy must be positive, got {self.c_sy}")
+
+
+# the columns of a parameter file, in order
+PARAM_COLUMNS = tuple(f.name for f in fields(ModelParams))
 
 
 @dataclass(frozen=True)

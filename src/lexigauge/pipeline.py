@@ -1,15 +1,19 @@
 """End-to-end per-text analysis: tokenize, profile, fit, score, scale.
 
 analyze_text produces one TextMetrics record per text, mirroring a row of
-the bundled metric tables plus the intermediate counts. analyze_corpus maps
-it over a manifest, quarantining per-text data failures so one bad file
-cannot abort a batch run; other exceptions are bugs and propagate.
+the bundled metric tables plus the intermediate counts; a per-text data
+failure raises AnalysisError, and other exceptions are bugs. write_report
+writes the records as a report, one row per record, and load_report reads it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import csv
+import json
+from dataclasses import dataclass, fields
+from pathlib import Path
 
-from .corpus import CorpusEntry, Language, load_text
+from ._data import read_csv
+from .corpus import CorpusEntry, load_text
 from .models import (
     LanguageParams,
     entropy_model_predict,
@@ -99,21 +103,63 @@ def analyze_text(
         raise AnalysisError(entry.id, exc) from exc
 
 
-def analyze_corpus(
-    manifest: list[CorpusEntry],
-    params: dict[Language, LanguageParams],
-) -> tuple[list[TextMetrics], list[AnalysisError]]:
-    """Analyze every manifest entry. Returns records in manifest order plus
-    the failures that were skipped."""
-    records: list[TextMetrics] = []
-    errors: list[AnalysisError] = []
-    for entry in manifest:
-        lang_params = params.get(entry.language)
-        if lang_params is None:
-            errors.append(AnalysisError(entry.id, ValueError(f"no parameters for {entry.language.value}")))
-            continue
+SCHEMA = "lexigauge-report-v1"
+
+# the entry's four columns, then every TextMetrics field after entry, which
+# load_report reads as the field's type (f.type is the annotation's text)
+_METRIC_TYPES = {f.name: int if f.type == "int" else float for f in fields(TextMetrics)[1:]}
+REPORT_COLUMNS = ("id", "name", "genre", "origin", *_METRIC_TYPES)
+_REPORT_FLOATS = tuple(c for c, t in _METRIC_TYPES.items() if t is float)
+
+
+def _record_values(m: TextMetrics) -> dict:
+    """Report values in REPORT_COLUMNS order: the entry's fields, then the
+    TextMetrics attribute of the same name for every other column, floats
+    as text at the printed precision of 6 decimals."""
+    e = m.entry
+    values = {"id": e.id, "name": e.name, "genre": e.genre.value, "origin": e.origin.value}
+    values.update((c, getattr(m, c)) for c in REPORT_COLUMNS if c not in values)
+    values.update((c, f"{values[c]:.6f}") for c in _REPORT_FLOATS)
+    return values
+
+
+def write_report(records: list[TextMetrics], fmt: str, stream) -> None:
+    """Serialize records as delimited text (csv) or line-delimited records
+    (jsonl). Both carry the schema version; both are deterministic."""
+    rows = [_record_values(m) for m in records]
+    if fmt == "csv":
+        stream.write(f"# schema: {SCHEMA}\n")
+        writer = csv.DictWriter(stream, REPORT_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    elif fmt == "jsonl":
+        for values in rows:
+            values.update((c, float(values[c])) for c in _REPORT_FLOATS)
+            stream.write(json.dumps({"schema": SCHEMA, **values}) + "\n")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+
+
+def load_report(path: str | Path) -> list[dict]:
+    """Parse a csv report written by write_report back into typed records
+    (ints for counts, floats for metrics). `#` lines before the header are
+    comments. A malformed row or a jsonl report raises ValueError."""
+    records: list[dict] = []
+    reader, comments = read_csv(path)
+    if reader.fieldnames is None:
+        return records
+    if reader.fieldnames[0].startswith("{"):
+        raise ValueError(f"{path}: a jsonl report; only the csv form (analyze --format csv) is read")
+    missing = [c for c in REPORT_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise ValueError(f"{path}: report missing columns {missing}")
+    for row in reader:
+        rec: dict = {}
         try:
-            records.append(analyze_text(entry, lang_params))
-        except AnalysisError as exc:
-            errors.append(exc)
-    return records, errors
+            for col in REPORT_COLUMNS:
+                rec[col] = _METRIC_TYPES.get(col, str)(row[col])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{comments + reader.line_num}: malformed report row "
+                             f"({col}): {exc}") from exc
+        records.append(rec)
+    return records

@@ -3,8 +3,6 @@ length, diversity, specific diversity, and normalized entropy.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import Counter
 from functools import cached_property
@@ -92,14 +90,3 @@ def entropy(p: RankedProfile) -> float:
     bits = -sum(chain.from_iterable(map(repeat, [(f / L) * math.log2(f / L) for f in fs], ks)))
     # summation rounding can land an ulp above 1 on uniform profiles
     return min(bits / math.log2(p.D), 1.0)
-
-
-def dump_profile(p: RankedProfile) -> str:
-    """Delimited rank,symbol,frequency text for plot emission. Symbols that
-    collide with the delimiter (the comma symbol itself) are quoted."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["rank", "symbol", "frequency"])
-    for r, (sym, f) in enumerate(p.entries, start=1):
-        w.writerow([r, sym, int(f) if float(f).is_integer() else repr(f)])
-    return out.getvalue()

@@ -12,17 +12,9 @@ import pytest
 
 from lexigauge._data import data_dir
 from lexigauge.cli import main, write_report
-from lexigauge.corpus import (
-    BUNDLED_TABLES,
-    REPORT_COLUMNS,
-    CorpusEntry,
-    Genre,
-    Language,
-    Origin,
-    load_report,
-)
+from lexigauge.corpus import BUNDLED_TABLES, CorpusEntry, Genre, Language, Origin
 from lexigauge.models import load_language_params
-from lexigauge.pipeline import analyze_text
+from lexigauge.pipeline import REPORT_COLUMNS, analyze_text, load_report
 
 
 @pytest.fixture()
@@ -85,6 +77,25 @@ def test_analyze_byte_identical_between_runs(sample_texts, tmp_path):
     main(["analyze", str(a), str(b), "--lang", "en", "--out", str(out1)])
     main(["analyze", str(a), str(b), "--lang", "en", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_analyze_rows_follow_the_order_of_the_paths(tmp_path):
+    paths = []
+    for i in range(4):
+        p = tmp_path / f"t{i}.txt"
+        p.write_text(f"text number {i} has words. more words here{'!' * i}", encoding="utf-8")
+        paths.append(str(p))
+    out, rev = tmp_path / "r.csv", tmp_path / "rev.csv"
+    assert main(["analyze", *paths, "--lang", "en", "--out", str(out)]) == 0
+    assert main(["analyze", *paths[::-1], "--lang", "en", "--out", str(rev)]) == 0
+    records, reversed_records = load_report(out), load_report(rev)
+    assert [r["name"] for r in records] == [f"t{i}" for i in range(4)]
+    ids = ["T1", "T2", "T3", "T4"]
+    assert [r["id"] for r in records] == [r["id"] for r in reversed_records] == ids
+    # reversing the paths reverses every row but its positional id
+    for r in records + reversed_records:
+        del r["id"]
+    assert reversed_records == records[::-1]
 
 
 def test_analyze_partial_failure_exit_codes(sample_texts, tmp_path, capsys):
@@ -641,6 +652,22 @@ def test_verify_names_a_sidecar_row_missing_from_its_table(work, monkeypatch, ca
           "")
     assert _verify_fails(work, monkeypatch, capsys) == [
         "FAIL  row digests: english_non_nobel.csv row E96: listed in sidecar but missing from table"]
+
+
+def test_a_repeated_table_row_fails_verify_and_tables(work, monkeypatch, capsys):
+    # E96 is a novel segment, so no group size counts a second copy of it
+    table = work / "english_non_nobel.csv"
+    with open(table, "a", encoding="utf-8") as fh:
+        fh.write("E96,IsaacAsimov.IRobot.Cap2,N,O,0.1870,0.7680,0.0050,-0.0110,0.1894,73.2634,"
+                 "-0.5956\n")
+    line = len(table.read_text(encoding="utf-8").splitlines())
+    message = f"{table}:{line}: duplicate id 'E96'"
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
+    capsys.readouterr()
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out == f"FAIL  table load: {message}\n1 hard failure\n"
+    assert main(["tables"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("weights, fails", [

@@ -24,11 +24,10 @@ from lexigauge.corpus import (
     load_bundled_tables,
     load_manifest,
     load_reference_table,
-    load_report,
     load_text,
-    save_manifest,
     select_group,
 )
+from lexigauge.pipeline import load_report
 from lexigauge.targets import GROUPS, _digest_checks, split_groups
 
 
@@ -55,15 +54,19 @@ def test_entry_year_validation():
         entry(year=2200)
 
 
-def test_manifest_roundtrip(tmp_path):
-    entries = [
+def test_manifest_rows_load_as_entries(tmp_path):
+    path = tmp_path / "manifest.csv"
+    path.write_text(
+        "id,name,genre,origin,language,nobel,year,source_path\n"
+        "A,1863.AbrahamLincoln,S,O,EN,false,1863,/tmp/a.txt\n"
+        "B,IsaacAsimov.IRobot.Cap2,N,T,ES,true,,\n",
+        encoding="utf-8",
+    )
+    assert load_manifest(path) == [
         entry(id="A", name="1863.AbrahamLincoln", year=1863, source_path="/tmp/a.txt"),
         entry(id="B", name="IsaacAsimov.IRobot.Cap2", genre=Genre.NOVEL_SEGMENT,
               language=Language.SPANISH, origin=Origin.TRANSLATION, nobel=True),
     ]
-    path = tmp_path / "manifest.csv"
-    save_manifest(entries, path)
-    assert load_manifest(path) == entries
 
 
 def test_manifest_year_from_name_prefix(tmp_path):
@@ -171,7 +174,8 @@ def _with_bom(path, tmp_path):
 def test_byte_order_mark_is_not_part_of_the_first_cell(tmp_path):
     # spreadsheet programs save UTF-8 files with a leading byte-order mark
     manifest = tmp_path / "manifest.csv"
-    save_manifest([entry(id="A", name="1863.AbrahamLincoln", year=1863)], manifest)
+    manifest.write_text("id,name,genre,origin,language,nobel,year,source_path\n"
+                        "A,1863.AbrahamLincoln,S,O,EN,false,1863,\n", encoding="utf-8")
     assert load_manifest(_with_bom(manifest, tmp_path)) == load_manifest(manifest)
     text = tmp_path / "t.txt"
     text.write_text("the cat and the dog, and a bird.", encoding="utf-8")
@@ -397,6 +401,7 @@ def test_reference_table_errors_name_their_line(tmp_path):
         ("R2,x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,oops", "row R2: non-numeric wqs='oops'"),
         ("R2,x,S,O,0.5,0.9,0.1,0.0,0.0,inf,0.1", "row R2: non-finite readability"),
         ("R2,0999.x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,0.1", "year 999 outside"),
+        (" R1 ,y,N,T,0.5,0.9,0.1,0.0,0.0,50.0,0.1", "duplicate id 'R1'"),
         # a row with two faults names the first one the checks meet
         ("R2,x,X,O,0.5,0.9,0.1,0.0,0.0,50.0,oops", "row R2: bad genre 'X'"),
         ("R2,0999.x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,oops", "row R2: non-numeric wqs='oops'"),

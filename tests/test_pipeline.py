@@ -1,10 +1,19 @@
+import io
+
 import pytest
 
 from lexigauge import pipeline
 from lexigauge._data import data_path
 from lexigauge.corpus import CorpusEntry, Genre, Language, Origin
 from lexigauge.models import load_language_params
-from lexigauge.pipeline import AnalysisError, analyze_corpus, analyze_text
+from lexigauge.pipeline import (
+    REPORT_COLUMNS,
+    SCHEMA,
+    AnalysisError,
+    analyze_text,
+    load_report,
+    write_report,
+)
 
 
 @pytest.fixture(scope="module")
@@ -107,38 +116,22 @@ def test_empty_text_fails(en_params):
         analyze_text(entry(), en_params, text="... ...")
 
 
-def test_analyze_corpus_quarantines_failures(tmp_path):
-    good1 = tmp_path / "a.txt"
-    good1.write_text("one two three four five. six seven!", encoding="utf-8")
-    good2 = tmp_path / "b.txt"
-    good2.write_text("otra cosa distinta aqui. y algo mas?", encoding="utf-8")
-    manifest = [
-        entry(id="A", source_path=str(good1)),
-        entry(id="B", language=Language.SPANISH, source_path=str(good2)),
-        entry(id="C", source_path=str(tmp_path / "missing.txt")),
-    ]
-    params = load_language_params()
-    records, errors = analyze_corpus(manifest, params)
-    assert [m.entry.id for m in records] == ["A", "B"]
-    assert len(errors) == 1
-    assert errors[0].entry_id == "C"
+def test_a_report_of_no_records_is_its_header(tmp_path):
+    out = tmp_path / "report.csv"
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        write_report([], "csv", fh)
+    assert out.read_text(encoding="utf-8") == f"# schema: {SCHEMA}\n{','.join(REPORT_COLUMNS)}\n"
+    assert load_report(out) == []
+    stream = io.StringIO()
+    write_report([], "jsonl", stream)
+    assert stream.getvalue() == ""
 
 
-def test_analyze_corpus_empty():
-    assert analyze_corpus([], load_language_params()) == ([], [])
-
-
-def test_analyze_corpus_order_is_manifest_order(tmp_path):
-    paths = []
-    for i in range(4):
-        p = tmp_path / f"t{i}.txt"
-        p.write_text(f"text number {i} has words. more words here!", encoding="utf-8")
-        paths.append(p)
-    manifest = [entry(id=f"T{i}", source_path=str(p)) for i, p in enumerate(paths)]
-    params = load_language_params()
-    records, errors = analyze_corpus(manifest, params)
-    assert not errors
-    assert [m.entry.id for m in records] == [f"T{i}" for i in range(4)]
-    # permuting the manifest permutes the records identically
-    rev, _ = analyze_corpus(manifest[::-1], params)
-    assert rev == records[::-1]
+def test_report_quotes_a_name_with_a_comma(en_params, tmp_path):
+    e = CorpusEntry(id="X1", name="Faulkner, W.", genre=Genre.SPEECH, language=Language.ENGLISH,
+                    origin=Origin.ORIGINAL, nobel=False)
+    out = tmp_path / "report.csv"
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        write_report([analyze_text(e, en_params, text="a, b, a.")], "csv", fh)
+    assert out.read_text(encoding="utf-8").splitlines()[2].startswith('X1,"Faulkner, W.",S,O,')
+    assert [r["name"] for r in load_report(out)] == ["Faulkner, W."]

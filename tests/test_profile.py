@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from lexigauge.profile import (
     RankedProfile,
     build_profile,
-    dump_profile,
     entropy,
     specific_diversity,
 )
@@ -56,14 +55,6 @@ def test_entropy_known_values():
     )
     with pytest.raises(ValueError):
         entropy(RankedProfile(()))
-
-
-def test_dump_profile_quotes_comma_symbol():
-    p = build_profile(tokenize("a, b"))
-    text = dump_profile(p)
-    lines = text.splitlines()
-    assert lines[0] == "rank,symbol,frequency"
-    assert any('","' in line for line in lines[1:])
 
 
 counts = st.lists(st.integers(min_value=1, max_value=500), min_size=2, max_size=40)
