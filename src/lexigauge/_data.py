@@ -48,14 +48,21 @@ def read_lines(path: str | Path) -> list[str]:
     return io.StringIO(text.removeprefix("\ufeff"), newline="").readlines()
 
 
-def read_csv(path: str | Path) -> tuple[csv.DictReader, int]:
-    """A reader over a CSV file after its leading `#` comment lines, and the
-    number of those lines: a row ends on physical line comments + line_num.
-    A short row's missing cells read as empty. Bytes that are not UTF-8 raise
-    ValueError naming the file and the line."""
+def read_csv(path: str | Path) -> tuple[list[str] | None, list[tuple[int, dict[str, str]]]]:
+    """The header of a CSV file after its leading `#` comment lines (None if
+    there is none), and (line, row) for each record under it: line is the
+    physical line the record ends on, row maps the header's names to its
+    cells, and a short row's missing cells read as empty. Bytes that are not
+    UTF-8, or a record the csv module cannot read (a cell over its field size
+    limit), raise ValueError naming the file and the line."""
     lines = read_lines(path)
     comments = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
-    return csv.DictReader(lines[comments:], restval=""), comments
+    reader = csv.DictReader(lines[comments:], restval="")
+    try:
+        return reader.fieldnames, [(comments + reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        # DictReader.line_num moves only once a record is read; its csv reader counts every line
+        raise ValueError(f"{path}:{comments + reader.reader.line_num}: {exc}") from exc
 
 
 def read_table(path: str | Path, columns: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
@@ -63,8 +70,8 @@ def read_table(path: str | Path, columns: tuple[str, ...]) -> list[tuple[int, tu
     The list returned holds (line, cells) for each non-blank record after the
     header: line is the physical line the record ends on, cells are its cells
     under columns, in that order. A header lacking one of columns, a record
-    with fewer cells than the header, or bytes that are not UTF-8 raise
-    ValueError naming the file or the line."""
+    with fewer cells than the header, a record the csv module cannot read, or
+    bytes that are not UTF-8 raise ValueError naming the file or the line."""
     data: list[str] = []
     numbers: list[int] = []
     for number, line in enumerate(read_lines(path), start=1):
@@ -72,17 +79,20 @@ def read_table(path: str | Path, columns: tuple[str, ...]) -> list[tuple[int, tu
             data.append(line)
             numbers.append(number)
     reader = csv.reader(data)
-    header = next(reader, [])
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise ValueError(f"{path}: missing columns {missing}")
-    index = {c: i for i, c in enumerate(header)}  # the last of repeated names, as DictReader
-    pick = itemgetter(*(index[c] for c in columns))
-    records = []
-    for cells in reader:
-        if len(cells) >= len(header):
-            records.append((numbers[reader.line_num - 1], pick(cells)))
-        elif cells:
-            raise ValueError(f"{path}:{numbers[reader.line_num - 1]}: short row: "
-                             f"{len(cells)} cells, the header has {len(header)}")
+    try:
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        index = {c: i for i, c in enumerate(header)}  # the last of repeated names, as DictReader
+        pick = itemgetter(*(index[c] for c in columns))
+        records = []
+        for cells in reader:
+            if len(cells) >= len(header):
+                records.append((numbers[reader.line_num - 1], pick(cells)))
+            elif cells:
+                raise ValueError(f"{path}:{numbers[reader.line_num - 1]}: short row: "
+                                 f"{len(cells)} cells, the header has {len(header)}")
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{numbers[reader.line_num - 1]}: {exc}") from exc
     return records

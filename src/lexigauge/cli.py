@@ -97,8 +97,8 @@ def cmd_analyze(args) -> int:
         try:
             records.append(analyze_text(entry, params, zipf_g=args.zipf_g))
         except AnalysisError as exc:
-            failed[type(exc.cause).__name__] += 1
-            print(f"error: {path}: {exc.cause}", file=sys.stderr)
+            failed[type(exc.__cause__).__name__] += 1
+            print(f"error: {path}: {exc.__cause__}", file=sys.stderr)
     if (out := _open_out(args.out)) is not None:
         with out as stream:
             write_report(records, args.format, stream)
@@ -148,13 +148,19 @@ def cmd_fit(args) -> int:
 
     fitted: dict[Language, dict[str, float]] = {}
     lines: list[str] = []
+    unconverged: list[str] = []
     if args.model == "heaps":
         for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
             points = [(p.L, p.D) for p in _with_symbols(group, lines)]
             if len(points) < 3 or len({L for L, _ in points}) < 2:
                 lines.append(f"{language.value}: insufficient data ({len(points)} texts)")
                 continue
-            c, beta = fit_heaps(points)
+            try:
+                c, beta = fit_heaps(points)
+            except ArithmeticError as exc:
+                lines.append(f"{language.value}: {exc}")
+                unconverged.append(language.value)
+                continue
             sse = sum((D - c * L**beta) ** 2 for L, D in points)
             fitted[language] = {"heaps_c": c, "heaps_beta": beta}
             lines.append(
@@ -167,7 +173,12 @@ def cmd_fit(args) -> int:
             if len(points) < 2:
                 lines.append(f"{language.value}: insufficient data ({len(points)} usable texts)")
                 continue
-            e = fit_entropy_model(points)
+            try:
+                e = fit_entropy_model(points)
+            except ArithmeticError as exc:
+                lines.append(f"{language.value}: {exc}")
+                unconverged.append(language.value)
+                continue
             sse = sum((h - d**e) ** 2 for d, h in points)
             fitted[language] = {"entropy_exponent": e}
             lines.append(f"{language.value}: exponent={e:.6g} sse={sse:.6g} n={len(points)}")
@@ -187,11 +198,15 @@ def cmd_fit(args) -> int:
 
     for line in lines:
         print(line)
-    if not fitted:
+    if not fitted and not unconverged:
         print("error: no group had enough data to fit", file=sys.stderr)
         return 1
 
     if args.out:
+        if unconverged:
+            print(f"error: {', '.join(unconverged)} did not converge; {args.out} not written",
+                  file=sys.stderr)
+            return 1
         try:
             defaults = load_model_params()
         except (OSError, ValueError) as exc:

@@ -115,14 +115,14 @@ def load_manifest(path: str | Path) -> list[CorpusEntry]:
     source_path means no text on disk."""
     entries: list[CorpusEntry] = []
     seen: set[str] = set()
-    reader, comments = read_csv(path)
-    if reader.fieldnames is None:
+    header, rows = read_csv(path)
+    if header is None:
         return entries
-    missing = [c for c in MANIFEST_COLUMNS[:6] if c not in reader.fieldnames]
+    missing = [c for c in MANIFEST_COLUMNS[:6] if c not in header]
     if missing:
         raise ValueError(f"{path}: manifest missing columns {missing}")
-    for row in reader:
-        where = f"{path}:{comments + reader.line_num}"
+    for line, row in rows:
+        where = f"{path}:{line}"
         try:
             genre = Genre(row["genre"].strip())
             origin = Origin(row["origin"].strip())

@@ -6,7 +6,8 @@ exponent e is stored directly.
 
 Fitting minimizes the linear-space squared error. Log-space least squares
 only seeds the iteration; a damped Gauss-Newton refinement does the real
-work and never returns a worse fit than its seed.
+work and never returns a worse fit than its seed; one that uses up its
+iterations raises ArithmeticError.
 """
 from __future__ import annotations
 
@@ -32,14 +33,14 @@ class ModelParams:
     c_sy: float
 
     def __post_init__(self):
-        if not self.heaps_c > 0:
-            raise ValueError(f"heaps_c must be positive, got {self.heaps_c}")
+        if not 0 < self.heaps_c < math.inf:
+            raise ValueError(f"heaps_c must be positive and finite, got {self.heaps_c}")
         if not 0 < self.heaps_beta < 1:
             raise ValueError(f"heaps_beta must be in (0,1), got {self.heaps_beta}")
         if not 0 < self.entropy_exponent < 1:
             raise ValueError(f"entropy_exponent must be in (0,1), got {self.entropy_exponent}")
-        if not self.c_sy > 0:
-            raise ValueError(f"c_sy must be positive, got {self.c_sy}")
+        if not 0 < self.c_sy < math.inf:
+            raise ValueError(f"c_sy must be positive and finite, got {self.c_sy}")
 
 
 # the columns of a parameter file, in order
@@ -104,8 +105,10 @@ def _gauss_newton(theta, residual_jacobian, max_iter=100, tol=1e-10):
     """Damped Gauss-Newton. residual_jacobian(theta) -> (r, J) with r the
     residuals and J the Jacobian columns of the model predictions (so the
     step solves J step = r). Backtracks the step until the squared error
-    does not increase (an overflow counts as an increase); a singular step
-    ends the iteration."""
+    does not increase (an overflow counts as an increase); a singular step,
+    or a step no backtrack makes acceptable, ends the iteration. Using up
+    max_iter raises ArithmeticError naming the count, the SSE and the number
+    of residuals."""
     r, J = residual_jacobian(theta)
     sse = _dot(r, r)
     for _ in range(max_iter):
@@ -130,12 +133,16 @@ def _gauss_newton(theta, residual_jacobian, max_iter=100, tol=1e-10):
         theta, r, J, sse = candidate, rc, Jc, sse_c
         if rel_step < tol:
             break
+    else:
+        raise ArithmeticError(f"did not converge in {max_iter} iterations "
+                              f"(sse={sse:.6g}, n={len(r)})")
     return theta, sse
 
 
 def fit_heaps(points: list[tuple[float, float]]) -> tuple[float, float]:
     """Fit (c, beta) of D = c * L^beta by least squares on the given (L, D)
-    points. Needs at least 3 points with distinct L."""
+    points. Needs at least 3 points with distinct L; a refinement that does
+    not converge raises ArithmeticError."""
     if len(points) < 3:
         raise ValueError(f"need at least 3 (L, D) points, got {len(points)}")
     L, D = ([float(v) for v in column] for column in zip(*points))
@@ -159,7 +166,8 @@ def fit_heaps(points: list[tuple[float, float]]) -> tuple[float, float]:
 
 def fit_entropy_model(points: list[tuple[float, float]]) -> float:
     """Fit the exponent e of h = d^e by least squares on (d, h) points.
-    Needs at least 2 points with 0 < d < 1 and 0 < h <= 1."""
+    Needs at least 2 points with 0 < d < 1 and 0 < h <= 1; a refinement that
+    does not converge raises ArithmeticError."""
     if len(points) < 2:
         raise ValueError(f"need at least 2 (d, h) points, got {len(points)}")
     d, h = ([float(v) for v in column] for column in zip(*points))
@@ -181,8 +189,8 @@ def fit_entropy_model(points: list[tuple[float, float]]) -> float:
 
 def load_model_params() -> dict[Language, ModelParams]:
     """Load the bundled per-language parameter table, language_params.csv
-    (LEXIGAUGE_PRESET_DIR overrides the directory). A bad row raises
-    ValueError naming its line."""
+    (LEXIGAUGE_PRESET_DIR overrides the directory). A bad row, or a second
+    row of a language, raises ValueError naming its line."""
     resolved = data_path("language_params.csv")
     out: dict[Language, ModelParams] = {}
     for line, (language, *values) in read_table(resolved, PARAM_COLUMNS):
@@ -190,6 +198,8 @@ def load_model_params() -> dict[Language, ModelParams]:
             params = ModelParams(Language.parse(language), *map(float, values))
         except ValueError as exc:
             raise ValueError(f"{resolved}:{line}: bad params row: {exc}") from exc
+        if params.language in out:
+            raise ValueError(f"{resolved}:{line}: duplicate language {params.language.value!r}")
         out[params.language] = params
     return out
 

@@ -47,12 +47,8 @@ class TextMetrics:
 
 
 class AnalysisError(Exception):
-    """A per-text failure, tagged with the entry id it came from."""
-
-    def __init__(self, entry_id: str, cause: Exception):
-        super().__init__(f"{entry_id}: {cause}")
-        self.entry_id = entry_id
-        self.cause = cause
+    """A per-text failure. Its message is "<entry id>: <cause>", and the
+    data error that caused it is its __cause__."""
 
 
 def analyze_text(
@@ -100,14 +96,23 @@ def analyze_text(
             wqs_reconstructed=wqs(params.wqs_reconstructed, point),
         )
     except (ValueError, OSError, ArithmeticError) as exc:
-        raise AnalysisError(entry.id, exc) from exc
+        raise AnalysisError(f"{entry.id}: {exc}") from exc
 
 
 SCHEMA = "lexigauge-report-v1"
 
+
+def _count(cell: str) -> int:
+    """An int report cell. One past float range, which no text's count
+    reaches and no model curve can take, raises OverflowError."""
+    n = int(cell)
+    float(n)
+    return n
+
+
 # the entry's four columns, then every TextMetrics field after entry, which
 # load_report reads as the field's type (f.type is the annotation's text)
-_METRIC_TYPES = {f.name: int if f.type == "int" else float for f in fields(TextMetrics)[1:]}
+_METRIC_TYPES = {f.name: _count if f.type == "int" else float for f in fields(TextMetrics)[1:]}
 REPORT_COLUMNS = ("id", "name", "genre", "origin", *_METRIC_TYPES)
 _REPORT_FLOATS = tuple(c for c, t in _METRIC_TYPES.items() if t is float)
 
@@ -145,21 +150,20 @@ def load_report(path: str | Path) -> list[dict]:
     (ints for counts, floats for metrics). `#` lines before the header are
     comments. A malformed row or a jsonl report raises ValueError."""
     records: list[dict] = []
-    reader, comments = read_csv(path)
-    if reader.fieldnames is None:
+    header, rows = read_csv(path)
+    if header is None:
         return records
-    if reader.fieldnames[0].startswith("{"):
+    if header and header[0].startswith("{"):
         raise ValueError(f"{path}: a jsonl report; only the csv form (analyze --format csv) is read")
-    missing = [c for c in REPORT_COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in REPORT_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"{path}: report missing columns {missing}")
-    for row in reader:
+    for line, row in rows:
         rec: dict = {}
         try:
             for col in REPORT_COLUMNS:
                 rec[col] = _METRIC_TYPES.get(col, str)(row[col])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{comments + reader.line_num}: malformed report row "
-                             f"({col}): {exc}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{line}: malformed report row ({col}): {exc}") from exc
         records.append(rec)
     return records

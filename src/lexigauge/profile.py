@@ -15,40 +15,29 @@ from .tokenizer import TokenizedText
 class RankedProfile:
     """Symbol frequencies ranked in descending order, held as their spectrum.
 
-    spectrum is (fs, ks): the distinct frequencies in descending order, and
-    how many ranks have each, so ranks 1..ks[0] have frequency fs[0], the
-    next ks[1] ranks fs[1], and so on. D (the number of ranks), L (the total
-    mass) and every measure read the spectrum only. entries[r-1] is
-    (symbol, f_r) for rank r; it is built when first read, and a profile
-    built from a symbol -> count mapping ranks its symbols only then.
-    Synthetic profiles with real-valued frequencies are accepted as well, so
-    model-matching reference profiles can be expressed exactly.
+    Built from a symbol -> frequency mapping whose values are all positive;
+    real values are accepted, so model-matching reference profiles can be
+    expressed exactly. spectrum is (fs, ks): the distinct frequencies in
+    descending order, and how many ranks have each, so ranks 1..ks[0] have
+    frequency fs[0], the next ks[1] ranks fs[1], and so on. D (the number of
+    ranks), L (the total mass) and every measure read the spectrum only.
+    entries[r-1] is (symbol, f_r) for rank r, ties in ascending symbol code
+    point order; the symbols are ranked only when it is first read.
     """
 
-    def __init__(self, entries: tuple[tuple[str, float], ...] = (), counts: dict[str, int] | None = None):
-        if counts is None:
-            prev = math.inf
-            total = 0
-            for symbol, f in entries:
-                if not f > 0:
-                    raise ValueError(f"frequency of {symbol!r} must be positive, got {f}")
-                if f > prev:
-                    raise ValueError("frequencies must be non-increasing by rank")
-                prev = f
-                total += f
-            self.entries = tuple(entries)
-            freqs = [f for _, f in self.entries]
-        else:
-            self._counts = counts
-            freqs = counts.values()
-        runs = Counter(freqs)
+    def __init__(self, counts: dict[str, float]):
+        self._counts = counts
+        runs = Counter(counts.values())
+        # one check per run, not per rank; `not f > 0` also rejects nan
+        if not all(f > 0 for f in runs):
+            symbol, f = next((s, f) for s, f in counts.items() if not f > 0)
+            raise ValueError(f"frequency of {symbol!r} must be positive, got {f}")
         # lists, not tuples: a tuple freed onto its free list stays counted
         # towards the next cyclic collection, so tuples run the collector more often
         fs = sorted(runs, reverse=True)
         self.spectrum = fs, list(map(runs.__getitem__, fs))
-        self.D = len(freqs)
-        # counts sum exactly by run; real values keep the loop's order of additions
-        self.L = total if counts is None else sum(map(mul, *self.spectrum))
+        self.D = len(counts)
+        self.L = sum(map(mul, *self.spectrum))
 
     @cached_property
     def entries(self) -> tuple[tuple[str, float], ...]:
@@ -57,15 +46,14 @@ class RankedProfile:
 
     @classmethod
     def from_frequencies(cls, freqs) -> "RankedProfile":
-        """Profile over anonymous symbols, one per frequency. Frequencies must
-        already be sorted in descending order."""
-        return cls(tuple((f"s{i+1}", float(f)) for i, f in enumerate(freqs)))
+        """Profile over anonymous symbols s1, s2, ..., one per frequency, in
+        any order; the profile ranks them."""
+        return cls({f"s{i+1}": float(f) for i, f in enumerate(freqs)})
 
 
 def build_profile(t: TokenizedText) -> RankedProfile:
-    """Count each distinct symbol and rank by descending frequency. Ties are
-    broken by ascending symbol code-point order so output is deterministic."""
-    return RankedProfile(counts=t.counts)
+    """The profile of a text's symbol counts."""
+    return RankedProfile(t.counts)
 
 
 def specific_diversity(p: RankedProfile) -> float:

@@ -257,15 +257,19 @@ def recompute(rows: list[ReferenceRow]) -> list[Recomputed]:
 
 def _digest_checks(cells: dict[str, list]) -> list[tuple[str, str]]:
     """The row digest lines: each row's md5 digest of its seven metric cells as
-    written (see load_bundled_tables) against the data directory's sidecar."""
+    written (see load_bundled_tables) against the data directory's sidecar.
+    A sidecar that lists a (file, id) twice fails naming the line."""
     import hashlib  # only verify needs it; other commands skip loading _hashlib
 
     sidecar = data_dir() / "integrity.csv"
     if not sidecar.is_file():
         return [("INFO", "row digests: no integrity.csv sidecar; skipped")]
+    expected = {}
     try:
-        expected = {(name, rid): digest for _, (name, rid, digest)
-                    in read_table(sidecar, ("file", "id", "digest"))}
+        for line, (name, rid, digest) in read_table(sidecar, ("file", "id", "digest")):
+            if (name, rid) in expected:
+                raise ValueError(f"{sidecar}:{line}: duplicate entry {name} row {rid}")
+            expected[name, rid] = digest
     except ValueError as exc:
         return [("FAIL", f"row digests: {exc}")]
     bad = []

@@ -106,12 +106,15 @@ def load_wqs_presets() -> dict[str, WqsCoefficients]:
     """Presets from the bundled `label,origin_d,origin_h,origin_j,w_d,w_h,w_j`
     file, wqs_presets.csv (LEXIGAUGE_PRESET_DIR overrides the directory). The
     file must carry the verbatim preset of each language; one missing raises
-    ValueError naming the file and label."""
+    ValueError naming the file and label, and a repeated label one naming
+    its line."""
     resolved = data_path("wqs_presets.csv")
     presets: dict[str, WqsCoefficients] = {}
     columns = ("label", "origin_d", "origin_h", "origin_j", "w_d", "w_h", "w_j")
     for line, (label, *values) in read_table(resolved, columns):
         label = label.strip()
+        if label in presets:
+            raise ValueError(f"{resolved}:{line}: duplicate label {label!r}")
         try:
             floats = list(map(float, values))
             presets[label] = WqsCoefficients(StylePoint(*floats[:3]), StylePoint(*floats[3:]))

@@ -48,7 +48,7 @@ def test_criterion_01_entropy_properties():
         p = RankedProfile.from_frequencies(counts)
         h = entropy(p)
         assert 0.0 <= h <= 1.0
-        renamed = RankedProfile(tuple((f"x{i}", f) for i, (_, f) in enumerate(p.entries)))
+        renamed = RankedProfile({f"x{i}": f for i, (_, f) in enumerate(p.entries)})
         assert entropy(renamed) == h
         assert abs(entropy(RankedProfile.from_frequencies([counts[0]] * D)) - 1.0) < 1e-12
     print("criterion 1: entropy bounds, uniform limit, and renaming invariance "

@@ -1,18 +1,22 @@
 import builtins
 import csv
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lexigauge._data import data_dir
 from lexigauge.cli import main, write_report
-from lexigauge.corpus import BUNDLED_TABLES, CorpusEntry, Genre, Language, Origin
+from lexigauge.corpus import BUNDLED_TABLES, CorpusEntry, Genre, Language, Origin, load_manifest
 from lexigauge.models import load_language_params
 from lexigauge.pipeline import REPORT_COLUMNS, analyze_text, load_report
 
@@ -297,6 +301,24 @@ def test_fit_writes_params_file(synthetic_growth_corpus, tmp_path, monkeypatch):
     assert float(rows["English"]["heaps_c"]) == pytest.approx(3.766, rel=0.01)
     # spanish keeps its bundled defaults
     assert float(rows["Spanish"]["heaps_c"]) == 2.3
+
+
+@pytest.mark.parametrize("model, fit", [("heaps", "fit_heaps"), ("entropy", "fit_entropy_model")])
+def test_fit_reports_a_fit_that_did_not_converge(synthetic_growth_corpus, tmp_path, monkeypatch,
+                                                 capsys, model, fit):
+    def stalled(points):
+        raise ArithmeticError(f"did not converge in 100 iterations (sse=12.5, n={len(points)})")
+
+    monkeypatch.setattr(f"lexigauge.cli.{fit}", stalled)
+    argv = ["fit", "--manifest", str(synthetic_growth_corpus), "--model", model]
+    line = "English: did not converge in 100 iterations (sse=12.5, n=5)\n"
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == (line, "")
+    out = tmp_path / "params.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == (line, f"error: English did not converge; {out} not written\n")
+    assert not out.exists()
 
 
 def test_fit_zipf_with_out_is_a_usage_error(tmp_path, capsys):
@@ -751,6 +773,9 @@ def test_malformed_reference_row_names_its_line(work, monkeypatch, capsys, argv,
     ("wqs_presets.csv", "verbatim-es,-0.02339,", "verbatim-es,y,", 3),
     ("language_params.csv", "English,3.766,", "English,\udcff3.766,", 2),
     ("wqs_presets.csv", "verbatim-es,-0.02339,", "verbatim-es,-0.02339\udcfe,", 3),
+    # a repeated key: EN parses as English, and labels are stripped
+    ("language_params.csv", "Spanish,2.3,", "EN,2.3,", 3),
+    ("wqs_presets.csv", "verbatim-es,-0.02339,", " verbatim-en ,-0.02339,", 3),
 ])
 @pytest.mark.parametrize("command", ["analyze", "analyze-preset", "fit-out", "plot-data", "verify"])
 def test_malformed_parameter_file_names_its_line(work, synthetic_growth_corpus, monkeypatch, capsys,
@@ -776,6 +801,16 @@ def test_malformed_parameter_file_names_its_line(work, synthetic_growth_corpus, 
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert f"{work / name}:{line}: " in captured.out + captured.err
+
+
+def test_a_repeated_sidecar_entry_names_its_line(work, monkeypatch, capsys):
+    # the repeat carries another digest; verify used to blame the intact row
+    sidecar = work / "integrity.csv"
+    with open(sidecar, "a", encoding="utf-8") as fh:
+        fh.write("spanish_nobel.csv,SNT8,0000000000\n")
+    line = len(sidecar.read_text(encoding="utf-8").splitlines())
+    assert _verify_fails(work, monkeypatch, capsys) == [
+        f"FAIL  row digests: {sidecar}:{line}: duplicate entry spanish_nobel.csv row SNT8"]
 
 
 @pytest.mark.parametrize("label", ["verbatim-en"])
@@ -856,7 +891,7 @@ def test_reconstructed_presets_follow_the_tables_of_the_preset_dir(work, monkeyp
 
 def test_analyze_without_parameters_for_its_language(work, monkeypatch, capsys):
     text = str(data_dir() / "texts" / "gettysburg_address.txt")
-    _edit(work / "language_params.csv", "Spanish,", "English,")
+    _edit(work / "language_params.csv", "Spanish,2.3,0.75,0.1763,2.94\n", "")
     monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
     assert main(["analyze", text, "--lang", "es"]) == 1
     assert capsys.readouterr().err == "error: language_params.csv has no Spanish row\n"
@@ -891,3 +926,133 @@ def test_the_import_leaves_importlib_resources_out():
     result = subprocess.run([sys.executable, "-S", "-c", probe], env=_src_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.stdout == "False\n", result.stderr
+
+
+# ------------------------------------------------ malformed files, fuzzed
+
+# Pieces spliced into a well-formed file: quotes, separators, line breaks,
+# comment marks, a byte-order mark, bytes that are not UTF-8, NUL, and cells
+# that parse as numbers no data file may hold
+_FRAGMENTS = st.sampled_from([
+    b'"', b",", b"\n", b"\r", b"\r\n", b"#", b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\x00",
+    b"nan", b"inf", b"-inf", b"1e400", b"-1", b"0", b" ", b"1" * 400])
+_LONG_CELL = b"x" * 140_000  # over the csv module's field size limit
+
+
+@st.composite
+def _spliced(draw, valid: bytes) -> bytes:
+    """valid with one to six of _FRAGMENTS written over or between its bytes."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data[at:at + draw(st.integers(min_value=0, max_value=4))] = draw(_FRAGMENTS)
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A copy of the bundled data, and three texts t1-t3 of distinct lengths."""
+    work = tmp_path_factory.mktemp("fuzz")
+    for name in (*(name for name, _, _ in BUNDLED_TABLES), "language_params.csv",
+                 "wqs_presets.csv", "integrity.csv"):
+        shutil.copy(data_dir() / name, work / name)
+    for i, n in enumerate((40, 150, 600), start=1):
+        words = (f"w{k % (n // 3)}" for k in range(n))
+        (work / f"t{i}.txt").write_text(" ".join(words) + ".", encoding="utf-8")
+    return work
+
+
+def _assert_reported(path: Path, data: bytes, load, argv: list[str], env: dict | None = None,
+                     names_on_1: bool = False) -> None:
+    """Write data to path and run main(argv): it returns 0, 1 or 2 (or exits
+    2), raising nothing else, and a 1 comes with an `error:` or `FAIL` line.
+    If load() rejects the file, its ValueError names the path, and main
+    returns 1 with such a line naming the file (also on every 1 if
+    names_on_1). The file's old bytes are restored afterwards."""
+    old = path.read_bytes() if path.exists() else None
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with mock.patch.dict(os.environ, env or {}):
+            try:
+                load()
+                rejected = False
+            except ValueError as exc:
+                assert str(path) in str(exc)
+                rejected = True
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    assert exc.code == 2
+                    code = 2
+    finally:
+        if old is not None:
+            path.write_bytes(old)
+    assert code in (0, 1, 2)
+    lines = [line for line in (out.getvalue() + err.getvalue()).splitlines()
+             if line.startswith(("error:", "FAIL"))]
+    if code == 1:
+        assert lines
+    if rejected or (code == 1 and names_on_1):
+        assert code == 1 and any(path.name in line for line in lines), lines
+
+
+_MANIFEST = (b"# a corpus\nid,name,genre,origin,language,nobel,year,source_path\n"
+             b"T1,1900.one,S,O,EN,false,,@DIR@/t1.txt\n"
+             b"T2,\"two, quoted\",N,T,English,no,1950,@DIR@/t2.txt\n"
+             b"T3,three,S,O,en,1,,@DIR@/t3.txt\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spliced(_MANIFEST), st.sampled_from(["heaps", "entropy", "zipf"]))
+@example(_MANIFEST.replace(b"three", _LONG_CELL), "heaps")
+def test_fit_reports_a_malformed_manifest(fuzz_dir, data, model):
+    path = fuzz_dir / "manifest.csv"
+    _assert_reported(path, data.replace(b"@DIR@", str(fuzz_dir).encode()),
+                     lambda: load_manifest(path),
+                     ["fit", "--manifest", str(path), "--model", model])
+
+
+def _report() -> bytes:
+    buf = io.StringIO()
+    params = load_language_params()
+    records = [analyze_text(CorpusEntry(f"T{i}", name, Genre.SPEECH, language, Origin.ORIGINAL,
+                                        False), params[language], text=text)
+               for i, (name, language, text) in enumerate((
+                   ("1900.one", Language.ENGLISH, "A short text, and a shorter one."),
+                   ("two", Language.SPANISH, "Un texto breve. ¿Otro? Sí, otro más."),
+                   ("1950.three", Language.ENGLISH, "Three words here; then more words.")),
+                   start=1)]
+    write_report(records, "csv", buf)
+    return buf.getvalue().encode("utf-8")
+
+
+_REPORT = _report()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spliced(_REPORT), st.sampled_from(("diversity", "entropy", "zipf", "wqs-plane", "trend")))
+@example(_REPORT.replace(b"two", _LONG_CELL), "diversity")
+def test_plot_data_reports_a_malformed_report(fuzz_dir, data, figure):
+    path = fuzz_dir / "report.csv"
+    _assert_reported(path, data, lambda: load_report(path),
+                     ["plot-data", "--figure", figure, "--report", str(path)])
+
+
+_PARAMS = (data_dir() / "language_params.csv").read_bytes()
+_PRESETS = (data_dir() / "wqs_presets.csv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([("language_params.csv", _PARAMS), ("wqs_presets.csv", _PRESETS)])
+       .flatmap(lambda nv: st.tuples(st.just(nv[0]), _spliced(nv[1]))),
+       st.sampled_from(["en", "es"]))
+@example(("language_params.csv", _PARAMS.replace(b"English", _LONG_CELL)), "es")
+@example(("wqs_presets.csv", _PRESETS.replace(b"verbatim-en", _LONG_CELL)), "en")
+def test_analyze_reports_a_malformed_parameter_file(fuzz_dir, case, lang):
+    name, data = case
+    env = {"LEXIGAUGE_PRESET_DIR": str(fuzz_dir)}
+    # the bundled files analyze the text, so any failure is the fuzzed file's
+    _assert_reported(fuzz_dir / name, data, load_language_params,
+                     ["analyze", str(fuzz_dir / "t3.txt"), "--lang", lang], env, names_on_1=True)

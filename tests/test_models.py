@@ -160,17 +160,32 @@ def test_refinement_never_worse_than_log_seed(rng):
     assert _sse_heaps(points, fc, fb) <= _sse_heaps(points, c0, b0) + 1e-9
 
 
-@pytest.mark.parametrize("points", [
-    # a trial step makes L**beta overflow
-    [(2166, 3.46), (201015, 182231), (2908487, 113439), (1937367, 345537), (6084, 222.7)],
+@pytest.mark.parametrize("points, converges", [
+    # a trial step makes L**beta overflow; the step is backtracked, and the
+    # refinement then uses up its iterations
+    ([(2166, 3.46), (201015, 182231), (2908487, 113439), (1937367, 345537), (6084, 222.7)],
+     False),
     # beta runs so negative that L**beta underflows and the normal equations
     # turn singular
-    [(21436, 1.11), (123, 40908), (25261, 1867), (12.4, 17289), (1995, 11724), (209232, 24.8)],
+    ([(21436, 1.11), (123, 40908), (25261, 1867), (12.4, 17289), (1995, 11724), (209232, 24.8)],
+     True),
 ], ids=["overflow", "singular"])
-def test_fit_heaps_on_points_without_a_growth_law(points):
+def test_fit_heaps_on_points_without_a_growth_law(points, converges):
+    if not converges:
+        with pytest.raises(ArithmeticError, match=r"^did not converge in 100 iterations") as info:
+            fit_heaps(points)
+        assert info.type is ArithmeticError  # not an OverflowError
+        return
     c0, b0 = _log_init_heaps(points)
     fc, fb = fit_heaps(points)
     assert _sse_heaps(points, fc, fb) < _sse_heaps(points, c0, b0)
+
+
+def test_a_fit_that_uses_up_its_iterations_raises():
+    # the refinement crawls along a narrow valley to c = 1.9e-15, beta = 3.62
+    with pytest.raises(ArithmeticError, match=r"^did not converge in 100 iterations "
+                                              r"\(sse=1\.15933e\+11, n=3\)$"):
+        fit_heaps([(154729.5, 351655.2), (173.1, 27.98), (20015.5, 1.096)])
 
 
 @settings(max_examples=200)

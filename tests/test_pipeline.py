@@ -91,8 +91,8 @@ def test_spanish_dispatch():
 def test_error_wrapping(en_params):
     with pytest.raises(AnalysisError) as info:
         analyze_text(entry(id="BAD", source_path="/nope/missing.txt"), en_params)
-    assert info.value.entry_id == "BAD"
-    assert isinstance(info.value.cause, FileNotFoundError)
+    assert str(info.value) == "BAD: source text not found"
+    assert isinstance(info.value.__cause__, FileNotFoundError)
 
 
 def test_data_failures_are_wrapped_and_bugs_propagate(en_params, tmp_path, monkeypatch):
@@ -101,7 +101,7 @@ def test_data_failures_are_wrapped_and_bugs_propagate(en_params, tmp_path, monke
     for path, cause in ((tmp_path / "missing.txt", FileNotFoundError), (bad, UnicodeDecodeError)):
         with pytest.raises(AnalysisError) as info:
             analyze_text(entry(source_path=str(path)), en_params)
-        assert isinstance(info.value.cause, cause)
+        assert isinstance(info.value.__cause__, cause)
 
     def broken(raw):
         raise TypeError("a bug, not bad data")

@@ -20,7 +20,7 @@ def test_exact_power_profile_has_zero_deviation():
 
 def test_empty_profile_has_no_deviation():
     with pytest.raises(ValueError, match="empty profile"):
-        zipf_deviation(RankedProfile(()), 1.0)
+        zipf_deviation(RankedProfile({}), 1.0)
 
 
 def test_fitted_exponent_known_profiles():
