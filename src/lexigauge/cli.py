@@ -34,8 +34,8 @@ from .corpus import (
     load_manifest,
     load_text,
 )
-from .models import (PARAM_COLUMNS, fit_entropy_model, fit_heaps, load_language_params,
-                     load_model_params)
+from .models import (PARAM_COLUMNS, entropy_model_predict, fit_entropy_model, fit_heaps,
+                     heaps_predict, load_language_params, load_model_params)
 from .pipeline import AnalysisError, TextMetrics, analyze_text, load_report, write_report
 from .profile import build_profile, entropy, specific_diversity
 from .stats import linear_regression
@@ -111,10 +111,10 @@ def cmd_analyze(args) -> int:
 # -------------------------------------------------------------------- fit
 
 
-def _manifest_profiles(manifest_path: str):
-    """(entry, profile) pairs for every loadable manifest text. A text that
-    cannot be loaded is reported on stderr and skipped."""
-    out = []
+def _manifest_groups(manifest_path: str) -> dict[Language, list]:
+    """The (entry, profile) pairs of the loadable manifest texts, by language;
+    each text that cannot be loaded is reported on stderr and skipped."""
+    out: dict[Language, list] = {}
     for entry in load_manifest(manifest_path):
         try:
             text = load_text(entry)
@@ -122,15 +122,8 @@ def _manifest_profiles(manifest_path: str):
             where = f"{entry.id}: {entry.source_path}" if entry.source_path else entry.id
             print(f"error: {where}: {exc}", file=sys.stderr)
             continue
-        out.append((entry, build_profile(tokenize(text))))
+        out.setdefault(entry.language, []).append((entry, build_profile(tokenize(text))))
     return out
-
-
-def _with_symbols(group: list, lines: list[str]) -> list:
-    """The profiles of a group's (entry, profile) pairs that hold a symbol;
-    each text without one is listed in lines instead."""
-    lines.extend(f"{entry.id}: no symbols to fit" for entry, p in group if p.D == 0)
-    return [p for _, p in group if p.D]
 
 
 def cmd_fit(args) -> int:
@@ -138,66 +131,56 @@ def cmd_fit(args) -> int:
         print("error: --out writes model parameters; use --model heaps or entropy", file=sys.stderr)
         return 2
     try:
-        pairs = _manifest_profiles(args.manifest)
+        by_lang = _manifest_groups(args.manifest)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    by_lang: dict[Language, list] = {}
-    for entry, p in pairs:
-        by_lang.setdefault(entry.language, []).append((entry, p))
 
+    # each fitted language's parameter-file values (none for zipf's per-text exponents)
     fitted: dict[Language, dict[str, float]] = {}
-    lines: list[str] = []
     unconverged: list[str] = []
-    if args.model == "heaps":
-        for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
-            points = [(p.L, p.D) for p in _with_symbols(group, lines)]
-            if len(points) < 3 or len({L for L, _ in points}) < 2:
-                lines.append(f"{language.value}: insufficient data ({len(points)} texts)")
-                continue
-            try:
-                c, beta = fit_heaps(points)
-            except ArithmeticError as exc:
-                lines.append(f"{language.value}: {exc}")
-                unconverged.append(language.value)
-                continue
-            sse = sum((D - c * L**beta) ** 2 for L, D in points)
-            fitted[language] = {"heaps_c": c, "heaps_beta": beta}
-            lines.append(
-                f"{language.value}: c={c:.6g} beta={beta:.6g} sse={sse:.6g} n={len(points)}"
-            )
-    elif args.model == "entropy":
-        for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
-            points = [(d, h) for p in _with_symbols(group, lines)
-                      if 0 < (d := specific_diversity(p)) < 1 and (h := entropy(p)) > 0]
-            if len(points) < 2:
-                lines.append(f"{language.value}: insufficient data ({len(points)} usable texts)")
-                continue
-            try:
-                e = fit_entropy_model(points)
-            except ArithmeticError as exc:
-                lines.append(f"{language.value}: {exc}")
-                unconverged.append(language.value)
-                continue
-            sse = sum((h - d**e) ** 2 for d, h in points)
-            fitted[language] = {"entropy_exponent": e}
-            lines.append(f"{language.value}: exponent={e:.6g} sse={sse:.6g} n={len(points)}")
-    else:  # zipf: a per-text exponent, reported text by text
-        for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
+    for language, group in sorted(by_lang.items(), key=lambda kv: kv[0].value):
+        if args.model == "zipf":  # a per-text exponent, reported text by text
             gs = []
             for entry, p in group:
                 if p.D < 3:
-                    lines.append(f"{entry.id}: too few ranks to fit ({p.D})")
+                    print(f"{entry.id}: too few ranks to fit ({p.D})")
                     continue
-                g = fit_zipf_exponent(p)
-                gs.append(g)
-                lines.append(f"{entry.id}: g={g:.6g}")
+                gs.append(g := fit_zipf_exponent(p))
+                print(f"{entry.id}: g={g:.6g}")
             if gs:
-                fitted[language] = {"zipf_g_mean": sum(gs) / len(gs)}
-                lines.append(f"{language.value}: mean g={sum(gs) / len(gs):.6g} n={len(gs)}")
+                fitted[language] = {}
+                print(f"{language.value}: mean g={sum(gs) / len(gs):.6g} n={len(gs)}")
+            continue
+        for entry, p in group:
+            if p.D == 0:
+                print(f"{entry.id}: no symbols to fit")
+        profiles = [p for _, p in group if p.D]
+        if args.model == "heaps":
+            points, fit, usable = [(p.L, p.D) for p in profiles], fit_heaps, ""
+        else:
+            points = [(d, h) for p in profiles
+                      if 0 < (d := specific_diversity(p)) < 1 and (h := entropy(p)) > 0]
+            fit, usable = fit_entropy_model, "usable "
+        try:
+            result = fit(points)
+        except ValueError:  # too few points, or a single length
+            print(f"{language.value}: insufficient data ({len(points)} {usable}texts)")
+            continue
+        except ArithmeticError as exc:
+            print(f"{language.value}: {exc}")
+            unconverged.append(language.value)
+            continue
+        if args.model == "heaps":
+            c, beta = result
+            sse = sum((D - c * L**beta) ** 2 for L, D in points)
+            fitted[language] = {"heaps_c": c, "heaps_beta": beta}
+            print(f"{language.value}: c={c:.6g} beta={beta:.6g} sse={sse:.6g} n={len(points)}")
+        else:
+            sse = sum((h - d**result) ** 2 for d, h in points)
+            fitted[language] = {"entropy_exponent": result}
+            print(f"{language.value}: exponent={result:.6g} sse={sse:.6g} n={len(points)}")
 
-    for line in lines:
-        print(line)
     if not fitted and not unconverged:
         print("error: no group had enough data to fit", file=sys.stderr)
         return 1
@@ -212,15 +195,21 @@ def cmd_fit(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        rows = []
+        for language, params in sorted(defaults.items(), key=lambda kv: kv[0].value):
+            try:  # checked as written: %.10g prints a beta of 0.99999999996 as 1
+                rows.append(dataclasses.replace(params, **{
+                    c: float(f"{v:.10g}") for c, v in fitted.get(language, {}).items()}))
+            except ValueError as exc:
+                print(f"error: {language.value}: {exc}; {args.out} not written", file=sys.stderr)
+                return 1
         if (out := _open_out(args.out)) is None:
             return 1
         with out as stream:
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(PARAM_COLUMNS)
-            for language, params in sorted(defaults.items(), key=lambda kv: kv[0].value):
-                fit = fitted.get(language, {})
-                writer.writerow([language.value, *(f"{fit.get(c, getattr(params, c)):.10g}"
-                                                   for c in PARAM_COLUMNS[1:])])
+            writer.writerows([row.language.value, *(f"{getattr(row, c):.10g}"
+                                                   for c in PARAM_COLUMNS[1:])] for row in rows)
         print(f"wrote {args.out}")
     return 0
 
@@ -282,9 +271,9 @@ class _Figure(NamedTuple):
 
 _FIGURES = {
     "diversity": _Figure(("L", "D"), ("L (symbols)", "D (distinct symbols)"), ("L", "D"), None,
-                         lambda p, L: p.heaps_c * L**p.heaps_beta),
+                         heaps_predict),
     "entropy": _Figure(("d", "h"), ("d (specific diversity)", "h (normalized entropy)"),
-                       ("d", "h"), ("d", "h"), lambda p, d: d**p.entropy_exponent),
+                       ("d", "h"), ("d", "h"), entropy_model_predict),
     "zipf": _Figure(("L", "j"), ("L (symbols)", "j (frequency-profile deviation)"),
                     ("L", "j"), None),
     "wqs-plane": _Figure(("d_rel", "h_rel", "j", "wqs"), ("d_rel", "h_rel", "j, wqs"),
@@ -295,10 +284,11 @@ FIGURES = tuple(_FIGURES)
 
 
 def _log_spaced(lo: float, hi: float, n: int = 100) -> list[float]:
+    """n log-spaced points from lo to hi, with float(lo) and float(hi) exact."""
     if lo <= 0 or hi <= lo:
         return [lo] * n
     step = (math.log(hi) - math.log(lo)) / (n - 1)
-    return [math.exp(math.log(lo) + i * step) for i in range(n)]
+    return [float(lo), *(math.exp(math.log(lo) + i * step) for i in range(1, n - 1)), float(hi)]
 
 
 # table figures label all rows by language and laureate status (53/103/35/123 rows); the
@@ -335,7 +325,11 @@ def cmd_plotdata(args) -> int:
             get = attrgetter(*figure.table_fields)
             rows = [(_GROUP_LABELS[r.entry.language, r.entry.nobel], *get(r))
                     for r in load_bundled_tables()]
-        params = load_model_params() if figure.curve else None
+        params = load_model_params() if figure.curve else {}
+        if figure.curve and (xs := [row[1] for row in rows if row[1] > 0]):
+            for language, p in sorted(params.items(), key=lambda kv: kv[0].value):
+                curve = f"curve-{language.code.lower()}"
+                rows += [(curve, x, figure.curve(p, x)) for x in _log_spaced(min(xs), max(xs))]
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -344,10 +338,6 @@ def cmd_plotdata(args) -> int:
     comments += [f"# {axis}: {label}" for axis, label in zip(("x", "y", "extras"), figure.axes)]
     if args.figure == "trend":
         rows = _trend(rows, comments)
-    if figure.curve and (xs := [row[1] for row in rows if row[1] > 0]):
-        for language, p in sorted(params.items(), key=lambda kv: kv[0].value):
-            curve = f"curve-{language.code.lower()}"
-            rows += [(curve, x, figure.curve(p, x)) for x in _log_spaced(min(xs), max(xs))]
     series = sorted({r[0] for r in rows})
     comments.append(f"# series: {', '.join(series) if series else '(none)'}")
 

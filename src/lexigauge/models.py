@@ -25,7 +25,10 @@ from .wqs import WqsCoefficients, load_wqs_presets, reconstruct
 @dataclass(frozen=True)
 class ModelParams:
     """One row of a parameter file: a language's two corpus models and its
-    characters per syllable."""
+    characters per syllable. Every parameter file, read or written, is
+    checked here: heaps_c lies in [1e-6, 1e6], which keeps c * L^beta and
+    D / (c * L^beta) finite for every L up to 1e12, both exponents lie in
+    (0,1), and c_sy is positive and finite."""
     language: Language
     heaps_c: float
     heaps_beta: float
@@ -33,8 +36,8 @@ class ModelParams:
     c_sy: float
 
     def __post_init__(self):
-        if not 0 < self.heaps_c < math.inf:
-            raise ValueError(f"heaps_c must be positive and finite, got {self.heaps_c}")
+        if not 1e-6 <= self.heaps_c <= 1e6:
+            raise ValueError(f"heaps_c must be in [1e-6, 1e6], got {self.heaps_c}")
         if not 0 < self.heaps_beta < 1:
             raise ValueError(f"heaps_beta must be in (0,1), got {self.heaps_beta}")
         if not 0 < self.entropy_exponent < 1:
@@ -55,15 +58,17 @@ class LanguageParams(ModelParams):
     wqs_reconstructed: WqsCoefficients
 
 
-def heaps_predict(params: LanguageParams, L: int) -> float:
-    """Expected vocabulary size D_m = c * L^beta for a text of length L."""
+def heaps_predict(params: ModelParams, L: float) -> float:
+    """Expected vocabulary size D_m = c * L^beta for a text of length L >= 1,
+    the growth curve of plot-data --figure diversity."""
     if L < 1:
         raise ValueError(f"length must be at least 1, got {L}")
     return params.heaps_c * L ** params.heaps_beta
 
 
-def entropy_model_predict(params: LanguageParams, d: float) -> float:
-    """Expected entropy h_m = d^e for specific diversity d."""
+def entropy_model_predict(params: ModelParams, d: float) -> float:
+    """Expected entropy h_m = d^e for specific diversity d in (0,1], the
+    curve of plot-data --figure entropy."""
     if not 0 < d <= 1:
         raise ValueError(f"specific diversity must be in (0,1], got {d}")
     return d ** params.entropy_exponent

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lexigauge._data import data_dir
-from lexigauge.cli import main, write_report
+from lexigauge.cli import _log_spaced, main, write_report
 from lexigauge.corpus import BUNDLED_TABLES, CorpusEntry, Genre, Language, Origin, load_manifest
 from lexigauge.models import load_language_params
 from lexigauge.pipeline import REPORT_COLUMNS, analyze_text, load_report
@@ -346,12 +346,56 @@ def test_an_unwritable_out_is_named(sample_texts, synthetic_growth_corpus, tmp_p
     assert not target.parent.exists()
 
 
-def test_fit_single_text_manifest(tmp_path):
-    p = tmp_path / "only.txt"
-    p.write_text("a few words here. nothing else!", encoding="utf-8")
-    manifest = tmp_path / "m.csv"
-    _write_manifest(manifest, [["T0", "only", "S", "O", "EN", "false", "", str(p)]])
+def _text_manifest(tmp_path, texts):
+    """A manifest of English texts t0, t1, ... with the given contents."""
+    rows = []
+    for i, text in enumerate(texts):
+        (tmp_path / f"t{i}.txt").write_text(text, encoding="utf-8")
+        rows.append([f"T{i}", f"t{i}", "S", "O", "EN", "false", "", str(tmp_path / f"t{i}.txt")])
+    _write_manifest(tmp_path / "m.csv", rows)
+    return tmp_path / "m.csv"
+
+
+def test_fit_single_text_manifest(tmp_path, capsys):
+    manifest = _text_manifest(tmp_path, ["a few words here. nothing else!"])
     assert main(["fit", "--manifest", str(manifest), "--model", "heaps"]) == 1
+    assert capsys.readouterr() == ("English: insufficient data (1 texts)\n",
+                                   "error: no group had enough data to fit\n")
+
+
+@pytest.mark.parametrize("model, line", [
+    ("heaps", "English: insufficient data (3 texts)"),  # one length: no growth curve
+    ("entropy", "English: insufficient data (0 usable texts)"),  # d = 1 in every text
+])
+def test_fit_reports_texts_of_one_length_as_insufficient(tmp_path, capsys, model, line):
+    manifest = _text_manifest(tmp_path, ["one two three four.", "five six seven eight.",
+                                         "nine ten eleven twelve."])
+    assert main(["fit", "--manifest", str(manifest), "--model", model]) == 1
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_fit_out_refuses_a_fit_outside_the_parameter_ranges(tmp_path, capsys):
+    manifest = _text_manifest(tmp_path, [" ".join(["a"] * 10),
+                                         " ".join(f"w{k}" for k in range(100)),
+                                         " ".join(f"w{k}" for k in range(1000))])
+    out = tmp_path / "params.csv"
+    assert main(["fit", "--manifest", str(manifest), "--model", "heaps", "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "English: c=0.949626 beta=1.00749 sse=77.9287 n=3\n",
+        f"error: English: heaps_beta must be in (0,1), got 1.007494631; {out} not written\n")
+    assert not out.exists()
+
+
+def test_fit_out_checks_the_values_as_written(synthetic_growth_corpus, tmp_path, monkeypatch,
+                                              capsys):
+    # %.10g writes this beta as 1, which no parameter file may hold
+    monkeypatch.setattr("lexigauge.cli.fit_heaps", lambda points: (2.0, 0.99999999996))
+    out = tmp_path / "params.csv"
+    assert main(["fit", "--manifest", str(synthetic_growth_corpus), "--model", "heaps",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: English: heaps_beta must be in (0,1), got 1.0; {out} not written\n")
+    assert not out.exists()
 
 
 def test_fit_skips_unloadable_texts(synthetic_growth_corpus, tmp_path, capsys):
@@ -445,6 +489,35 @@ def test_plot_data_entropy(capsys):
     assert len(curves_es) == 100
     groups = {l.split(",")[0] for l in data[1:]}
     assert {"en-nobel", "en-non", "es-nobel", "es-non"} <= groups
+
+
+def test_log_spaced_returns_its_end_points_exactly():
+    xs = _log_spaced(0.135346, 1.0)
+    assert len(xs) == 100 and xs[0] == 0.135346 and xs[-1] == 1.0
+    assert xs == sorted(xs)
+    assert [type(x) for x in _log_spaced(3, 312)[::99]] == [float, float]
+
+
+def test_plot_data_entropy_curve_ends_at_the_largest_d(sample_texts, tmp_path, capsys):
+    # exp(log(1.0)) after 99 log steps from 0.135346 lands an ulp above 1,
+    # outside the entropy model's domain
+    report = tmp_path / "r.csv"
+    assert main(["analyze", *map(str, sample_texts), "--lang", "en", "--out", str(report)]) == 0
+    lines = report.read_text(encoding="utf-8").splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    for row, d in zip(range(header + 1, header + 3), ("0.135346", "1.000000")):
+        cells = lines[row].split(",")
+        cells[REPORT_COLUMNS.index("d")] = d
+        lines[row] = ",".join(cells)
+    report.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["plot-data", "--figure", "entropy", "--report", str(report)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for curve in ("curve-en,", "curve-es,"):
+        points = [line for line in out if line.startswith(curve)]
+        assert len(points) == 100
+        assert points[0].startswith(f"{curve}0.135346,")
+        assert points[-1] == f"{curve}1.000000,1.000000"
 
 
 def test_plot_data_wqs_plane(tmp_path):
@@ -865,6 +938,24 @@ def test_plot_data_curves_follow_the_parameters_of_the_env_dir(work, tmp_path, m
         assert rest == before[figure][1], figure
 
 
+@pytest.mark.parametrize("heaps_c", ["1e307", "1e-310"])
+def test_an_out_of_range_heaps_c_names_the_parameter_file(work, tmp_path, monkeypatch, capsys,
+                                                          heaps_c):
+    text = str(data_dir() / "texts" / "gettysburg_address.txt")
+    report = tmp_path / "report.csv"
+    assert main(["analyze", text, "--lang", "en", "--out", str(report)]) == 0
+    _edit(work / "language_params.csv", "English,3.766,", f"English,{heaps_c},")
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
+    for argv in (["analyze", text, "--lang", "en"],
+                 ["plot-data", "--figure", "diversity", "--report", str(report)]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith(
+            f"error: {work / 'language_params.csv'}:2: bad params row: heaps_c "), argv
+
+
 def test_reconstructed_presets_follow_the_tables_of_the_preset_dir(work, monkeypatch, capsys):
     text = str(data_dir() / "texts" / "gettysburg_address.txt")
     monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(work))
@@ -935,7 +1026,7 @@ def test_the_import_leaves_importlib_resources_out():
 # that parse as numbers no data file may hold
 _FRAGMENTS = st.sampled_from([
     b'"', b",", b"\n", b"\r", b"\r\n", b"#", b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\x00",
-    b"nan", b"inf", b"-inf", b"1e400", b"-1", b"0", b" ", b"1" * 400])
+    b"nan", b"inf", b"-inf", b"1e400", b"1e307", b"1e-310", b"-1", b"0", b" ", b"1" * 400])
 _LONG_CELL = b"x" * 140_000  # over the csv module's field size limit
 
 
@@ -1050,6 +1141,8 @@ _PRESETS = (data_dir() / "wqs_presets.csv").read_bytes()
        st.sampled_from(["en", "es"]))
 @example(("language_params.csv", _PARAMS.replace(b"English", _LONG_CELL)), "es")
 @example(("wqs_presets.csv", _PRESETS.replace(b"verbatim-en", _LONG_CELL)), "en")
+@example(("language_params.csv", _PARAMS.replace(b"English,3.766,", b"English,1e307,")), "en")
+@example(("language_params.csv", _PARAMS.replace(b"English,3.766,", b"English,1e-310,")), "en")
 def test_analyze_reports_a_malformed_parameter_file(fuzz_dir, case, lang):
     name, data = case
     env = {"LEXIGAUGE_PRESET_DIR": str(fuzz_dir)}

@@ -44,8 +44,9 @@ def test_bundled_parameter_values(params):
 
 def test_params_validation(params):
     en = params[Language.ENGLISH]
-    with pytest.raises(ValueError):
-        dataclasses.replace(en, heaps_c=0)
+    for heaps_c in (0, 1e307, 1e-310):  # outside [1e-6, 1e6]: d_rel is no longer finite
+        with pytest.raises(ValueError):
+            dataclasses.replace(en, heaps_c=heaps_c)
     with pytest.raises(ValueError):
         dataclasses.replace(en, heaps_beta=1.0)
     with pytest.raises(ValueError):
