@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import re
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -29,7 +30,6 @@ from .corpus import (
     Genre,
     Language,
     Origin,
-    _parse_year,
     load_bundled_tables,
     load_manifest,
     load_text,
@@ -195,6 +195,10 @@ def cmd_fit(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        if missing := [language.value for language in fitted if language not in defaults]:
+            print(f"error: language_params.csv has no {missing[0]} row; {args.out} not written",
+                  file=sys.stderr)
+            return 1
         rows = []
         for language, params in sorted(defaults.items(), key=lambda kv: kv[0].value):
             try:  # checked as written: %.10g prints a beta of 0.99999999996 as 1
@@ -283,8 +287,14 @@ _FIGURES = {
 FIGURES = tuple(_FIGURES)
 
 
-def _log_spaced(lo: float, hi: float, n: int = 100) -> list[float]:
-    """n log-spaced points from lo to hi, with float(lo) and float(hi) exact."""
+# the points of each model curve and of the trend figure's fit line
+_CURVE_POINTS = 100
+
+
+def _log_spaced(lo: float, hi: float) -> list[float]:
+    """_CURVE_POINTS log-spaced points from lo to hi, with float(lo) and
+    float(hi) exact."""
+    n = _CURVE_POINTS
     if lo <= 0 or hi <= lo:
         return [lo] * n
     step = (math.log(hi) - math.log(lo)) / (n - 1)
@@ -294,6 +304,15 @@ def _log_spaced(lo: float, hi: float, n: int = 100) -> list[float]:
 # table figures label all rows by language and laureate status (53/103/35/123 rows); the
 # groups of tables and verify keep speeches and the laureates' originals only (37/101/19/117)
 _GROUP_LABELS = {(key.language, key.nobel): label for label, key in targets.GROUPS.items()}
+
+
+_YEAR_PREFIX = re.compile(r"^(\d{4})\.")
+
+
+def _parse_year(name: str) -> int | None:
+    """The year of a leading 'YYYY.' in a text's name, else None."""
+    m = _YEAR_PREFIX.match(name)
+    return int(m.group(1)) if m else None
 
 
 def _trend(points: list[tuple], comments: list[str]) -> list[tuple]:
@@ -307,7 +326,8 @@ def _trend(points: list[tuple], comments: list[str]) -> list[tuple]:
         return dated
     fit = linear_regression([float(y) for _, y, _ in dated], [s for _, _, s in dated])
     comments.append(f"# fit: slope={fit.slope:.6g} per year, intercept={fit.intercept:.6g}")
-    xs = (years[0] + (years[-1] - years[0]) * i / 99 for i in range(100))
+    span, n = years[-1] - years[0], _CURVE_POINTS
+    xs = (years[0] + span * i / (n - 1) for i in range(n))
     return dated + [("fit", x, fit.slope * x + fit.intercept) for x in xs]
 
 

@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import math
 import os
-import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import NoReturn
 
 from ._data import data_path, read_csv, read_table
-
-_YEAR_PREFIX = re.compile(r"^(\d{4})\.")
 
 
 class Genre(Enum):
@@ -54,12 +51,7 @@ class CorpusEntry:
     language: Language
     origin: Origin
     nobel: bool
-    year: int | None = None
     source_path: str | None = None
-
-    def __post_init__(self):
-        if self.year is not None and not 1300 <= self.year <= 2100:
-            raise ValueError(f"entry {self.id}: year {self.year} outside 1300..2100")
 
 
 @dataclass(slots=True)
@@ -92,11 +84,6 @@ class GroupKey:
     nobel: bool
 
 
-def _parse_year(name: str) -> int | None:
-    m = _YEAR_PREFIX.match(name)
-    return int(m.group(1)) if m else None
-
-
 def _parse_bool(text: str, where: str) -> bool:
     key = text.strip().lower()
     if key in ("true", "1", "yes"):
@@ -106,13 +93,13 @@ def _parse_bool(text: str, where: str) -> bool:
     raise ValueError(f"{where}: bad boolean {text!r}")
 
 
-MANIFEST_COLUMNS = ("id", "name", "genre", "origin", "language", "nobel", "year", "source_path")
+MANIFEST_COLUMNS = ("id", "name", "genre", "origin", "language", "nobel", "source_path")
 
 
 def load_manifest(path: str | Path) -> list[CorpusEntry]:
     """Read a corpus manifest; `#` lines before the header are comments.
-    Missing year falls back to a leading 'YYYY.' prefix of the name; empty
-    source_path means no text on disk."""
+    An empty or missing source_path means no text on disk; columns outside
+    MANIFEST_COLUMNS are ignored."""
     entries: list[CorpusEntry] = []
     seen: set[str] = set()
     header, rows = read_csv(path)
@@ -128,13 +115,10 @@ def load_manifest(path: str | Path) -> list[CorpusEntry]:
             origin = Origin(row["origin"].strip())
             language = Language.parse(row["language"])
             nobel = _parse_bool(row["nobel"], where)
-            year_text = (row.get("year") or "").strip()
-            year = int(year_text) if year_text else _parse_year(row["name"])
             source = (row.get("source_path") or "").strip() or None
             entry = CorpusEntry(
                 id=row["id"].strip(), name=row["name"].strip(), genre=genre,
-                language=language, origin=origin, nobel=nobel,
-                year=year, source_path=source,
+                language=language, origin=origin, nobel=nobel, source_path=source,
             )
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{where}: malformed manifest row: {exc}") from exc
@@ -171,9 +155,8 @@ def load_reference_table(
             raise ValueError(f"{path}:{line}: duplicate id {rid!r}")
         seen.add(rid)
         try:
-            name = name.strip()
-            entry = CorpusEntry(rid, name, _GENRES[genre.strip()], language,
-                                _ORIGINS[origin.strip()], nobel, _parse_year(name))
+            entry = CorpusEntry(rid, name.strip(), _GENRES[genre.strip()], language,
+                                _ORIGINS[origin.strip()], nobel)
             rows.append(ReferenceRow(entry, *map(float, numeric)))
         except (KeyError, ValueError) as exc:
             _raise_row_error(f"{path}:{line}", rid, genre, origin, numeric, exc)
@@ -185,7 +168,7 @@ def load_reference_table(
 def _raise_row_error(where: str, rid: str, genre: str, origin: str, numeric: list[str],
                      exc: Exception) -> NoReturn:
     """Raise the first fault of a row that failed to load: a bad genre or origin,
-    a non-numeric cell, else exc (a failed CorpusEntry/ReferenceRow check)."""
+    a non-numeric cell, else exc (a failed ReferenceRow check)."""
     cause = str(exc)
     if genre.strip() not in _GENRES:
         cause = f"row {rid}: bad genre {genre!r} (expected S or N)"

@@ -106,17 +106,22 @@ def _normal_step(J, r) -> list[float]:
     return [(c * g[0] - b * g[1]) / det, (a * g[1] - b * g[0]) / det]
 
 
-def _gauss_newton(theta, residual_jacobian, max_iter=100, tol=1e-10):
+# the refinement's iteration budget, and the relative step that ends it early
+_MAX_ITER = 100
+_TOL = 1e-10
+
+
+def _gauss_newton(theta, residual_jacobian):
     """Damped Gauss-Newton. residual_jacobian(theta) -> (r, J) with r the
     residuals and J the Jacobian columns of the model predictions (so the
     step solves J step = r). Backtracks the step until the squared error
     does not increase (an overflow counts as an increase); a singular step,
     or a step no backtrack makes acceptable, ends the iteration. Using up
-    max_iter raises ArithmeticError naming the count, the SSE and the number
+    _MAX_ITER raises ArithmeticError naming the count, the SSE and the number
     of residuals."""
     r, J = residual_jacobian(theta)
     sse = _dot(r, r)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         try:
             step = _normal_step(J, r)
         except ZeroDivisionError:
@@ -136,10 +141,10 @@ def _gauss_newton(theta, residual_jacobian, max_iter=100, tol=1e-10):
             break
         rel_step = max(abs(scale * s) / max(abs(t), 1e-300) for s, t in zip(step, theta))
         theta, r, J, sse = candidate, rc, Jc, sse_c
-        if rel_step < tol:
+        if rel_step < _TOL:
             break
     else:
-        raise ArithmeticError(f"did not converge in {max_iter} iterations "
+        raise ArithmeticError(f"did not converge in {_MAX_ITER} iterations "
                               f"(sse={sse:.6g}, n={len(r)})")
     return theta, sse
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -117,6 +118,27 @@ REPORT_COLUMNS = ("id", "name", "genre", "origin", *_METRIC_TYPES)
 _REPORT_FLOATS = tuple(c for c, t in _METRIC_TYPES.items() if t is float)
 
 
+def _finite(cell: str) -> float:
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {cell!r}")
+    return x
+
+
+def _unit(cell: str) -> float:
+    x = float(cell)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{cell!r} outside [0,1]")
+    return x
+
+
+# load_report's reader of each column; it holds a report's floats to the rule
+# that ReferenceRow applies to table rows (finite, and d and h in [0, 1]), so
+# no model curve fails on a report. Any other column is kept as text.
+_READERS = {c: _unit if c in ("d", "h") else _finite if t is float else t
+            for c, t in _METRIC_TYPES.items()}
+
+
 def _record_values(m: TextMetrics) -> dict:
     """Report values in REPORT_COLUMNS order: the entry's fields, then the
     TextMetrics attribute of the same name for every other column, floats
@@ -147,8 +169,9 @@ def write_report(records: list[TextMetrics], fmt: str, stream) -> None:
 
 def load_report(path: str | Path) -> list[dict]:
     """Parse a csv report written by write_report back into typed records
-    (ints for counts, floats for metrics). `#` lines before the header are
-    comments. A malformed row or a jsonl report raises ValueError."""
+    (ints for counts, finite floats for metrics, d and h in [0, 1]). `#`
+    lines before the header are comments. A malformed row or a jsonl report
+    raises ValueError."""
     records: list[dict] = []
     header, rows = read_csv(path)
     if header is None:
@@ -162,7 +185,7 @@ def load_report(path: str | Path) -> list[dict]:
         rec: dict = {}
         try:
             for col in REPORT_COLUMNS:
-                rec[col] = _METRIC_TYPES.get(col, str)(row[col])
+                rec[col] = _READERS.get(col, str)(row[col])
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"{path}:{line}: malformed report row ({col}): {exc}") from exc
         records.append(rec)

@@ -15,7 +15,6 @@ from lexigauge.corpus import (
     REFERENCE_COLUMNS,
     ReferenceRow,
     _parse_bool,
-    _parse_year,
 )
 
 METRICS = ("d", "h", "d_rel", "h_rel", "j", "readability", "wqs")
@@ -53,7 +52,6 @@ def loop_load_reference_table(path: str | Path) -> list[ReferenceRow]:
         entry = CorpusEntry(
             id=rid, name=row["name"].strip(), genre=Genre(row["genre"].strip()),
             language=language, origin=Origin(row["origin"].strip()), nobel=nobel,
-            year=_parse_year(row["name"].strip()),
         )
         metrics = {}
         for field in METRICS:

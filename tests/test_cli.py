@@ -386,6 +386,30 @@ def test_fit_out_refuses_a_fit_outside_the_parameter_ranges(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_out_refuses_a_fitted_language_with_no_parameter_row(tmp_path, monkeypatch, capsys):
+    # written without its row, the file would silently drop the Spanish fit
+    (tmp_path / "data").mkdir()
+    params = (data_dir() / "language_params.csv").read_text(encoding="utf-8")
+    (tmp_path / "data" / "language_params.csv").write_text(
+        "".join(l for l in params.splitlines(True) if not l.startswith("Spanish")),
+        encoding="utf-8")
+    monkeypatch.setenv("LEXIGAUGE_PRESET_DIR", str(tmp_path / "data"))
+    rows = []
+    for i, L in enumerate((200, 800, 3200)):  # D = 2.3 * L^0.75 up to integer rounding
+        D = round(2.3 * L**0.75)
+        words = [f"p{k}" for k in range(D)] + ["p0"] * (L - D)
+        (tmp_path / f"t{i}.txt").write_text(" ".join(words), encoding="utf-8")
+        rows.append([f"T{i}", f"t{i}", "S", "O", "ES", "false", "", str(tmp_path / f"t{i}.txt")])
+    _write_manifest(tmp_path / "m.csv", rows)
+    out = tmp_path / "params.csv"
+    assert main(["fit", "--manifest", str(tmp_path / "m.csv"), "--model", "heaps",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("Spanish: c=")
+    assert captured.err == f"error: language_params.csv has no Spanish row; {out} not written\n"
+    assert not out.exists()
+
+
 def test_fit_out_checks_the_values_as_written(synthetic_growth_corpus, tmp_path, monkeypatch,
                                               capsys):
     # %.10g writes this beta as 1, which no parameter file may hold
@@ -549,19 +573,26 @@ def test_plot_data_report_figures(sample_texts, tmp_path):
     assert any(l.startswith("data,") for l in read_lines(out2))
 
 
-@pytest.mark.parametrize("cell, message", [("x", "'x'"), ("\udcff", "not UTF-8")])
-def test_plot_data_bad_report_cell_names_its_line(sample_texts, tmp_path, capsys, cell, message):
+@pytest.mark.parametrize("column, cell, message", [
+    ("L", "x", "'x'"),
+    ("L", "\udcff", "not UTF-8"),
+    # a d the entropy curve cannot take, and a non-finite float
+    ("d", "1.455128", "malformed report row (d): '1.455128' outside [0,1]"),
+    ("j", "nan", "malformed report row (j): non-finite value 'nan'"),
+])
+def test_plot_data_bad_report_cell_names_its_line(sample_texts, tmp_path, capsys, column, cell,
+                                                  message):
     a, b = sample_texts
     report = tmp_path / "r.csv"
     main(["analyze", str(a), str(b), "--lang", "en", "--out", str(report)])
     lines = report.read_text(encoding="utf-8").splitlines()
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     cells = lines[header + 2].split(",")
-    cells[REPORT_COLUMNS.index("L")] = cell
+    cells[REPORT_COLUMNS.index(column)] = cell
     lines[header + 2] = ",".join(cells)
     report.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     capsys.readouterr()
-    assert main(["plot-data", "--figure", "diversity", "--report", str(report)]) == 1
+    assert main(["plot-data", "--figure", "entropy", "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {report}:{header + 3}: ") and message in err
 
@@ -1125,10 +1156,11 @@ _REPORT = _report()
 @settings(max_examples=150, deadline=None)
 @given(_spliced(_REPORT), st.sampled_from(("diversity", "entropy", "zipf", "wqs-plane", "trend")))
 @example(_REPORT.replace(b"two", _LONG_CELL), "diversity")
+@example(_REPORT.replace(b"0.888889", b"1.455128"), "entropy")
 def test_plot_data_reports_a_malformed_report(fuzz_dir, data, figure):
     path = fuzz_dir / "report.csv"
     _assert_reported(path, data, lambda: load_report(path),
-                     ["plot-data", "--figure", figure, "--report", str(path)])
+                     ["plot-data", "--figure", figure, "--report", str(path)], names_on_1=True)
 
 
 _PARAMS = (data_dir() / "language_params.csv").read_bytes()

@@ -46,14 +46,6 @@ def entry(**kw):
     return CorpusEntry(**base)
 
 
-def test_entry_year_validation():
-    entry(year=1900)
-    with pytest.raises(ValueError):
-        entry(year=1200)
-    with pytest.raises(ValueError):
-        entry(year=2200)
-
-
 def test_manifest_rows_load_as_entries(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text(
@@ -63,24 +55,38 @@ def test_manifest_rows_load_as_entries(tmp_path):
         encoding="utf-8",
     )
     assert load_manifest(path) == [
-        entry(id="A", name="1863.AbrahamLincoln", year=1863, source_path="/tmp/a.txt"),
+        entry(id="A", name="1863.AbrahamLincoln", source_path="/tmp/a.txt"),
         entry(id="B", name="IsaacAsimov.IRobot.Cap2", genre=Genre.NOVEL_SEGMENT,
               language=Language.SPANISH, origin=Origin.TRANSLATION, nobel=True),
     ]
 
 
-def test_manifest_year_from_name_prefix(tmp_path):
+def test_manifest_row_cut_short_after_the_required_cells_loads_with_no_text(tmp_path):
+    # only a required cell is missing from "A,x": the cells a row leaves out read as empty
     path = tmp_path / "m.csv"
-    path.write_text(
+    path.write_text("id,name,genre,origin,language,nobel,year,source_path\n"
+                    "A,x,S,O,EN,false\n", encoding="utf-8")
+    assert load_manifest(path) == [entry(id="A", name="x")]
+
+
+def test_manifest_year_column_is_ignored(tmp_path):
+    # no command reads a manifest year: any cell loads, and the column may go
+    dated, undated = tmp_path / "dated.csv", tmp_path / "undated.csv"
+    dated.write_text(
         "id,name,genre,origin,language,nobel,year,source_path\n"
-        "E11,1863.AbrahamLincoln,S,O,EN,false,,\n"
-        "E12,IsaacAsimov.IRobot.Cap2,N,T,EN,false,,\n",
+        "E11,1863.AbrahamLincoln,S,O,EN,false,abc,\n"
+        "E12,IsaacAsimov.IRobot.Cap2,N,T,EN,false,1200,\n",
         encoding="utf-8",
     )
-    entries = load_manifest(path)
-    assert entries[0].year == 1863
-    assert entries[0].genre is Genre.SPEECH
-    assert entries[1].year is None
+    undated.write_text(
+        "id,name,genre,origin,language,nobel,source_path\n"
+        "E11,1863.AbrahamLincoln,S,O,EN,false,\n"
+        "E12,IsaacAsimov.IRobot.Cap2,N,T,EN,false,\n",
+        encoding="utf-8",
+    )
+    assert load_manifest(dated) == load_manifest(undated)
+    assert [e.name for e in load_manifest(undated)] == [
+        "1863.AbrahamLincoln", "IsaacAsimov.IRobot.Cap2"]
 
 
 def test_manifest_keeps_rows_whose_id_starts_with_hash(tmp_path):
@@ -201,7 +207,6 @@ def test_manifest_missing_columns(tmp_path):
 def test_reference_row_e1(rows):
     e1 = next(r for r in rows if r.entry.id == "E1")
     assert e1.entry.name == "1381.JohnBall"
-    assert e1.entry.year == 1381
     assert (e1.d, e1.h) == (0.515, 0.914)
     assert (e1.d_rel, e1.h_rel, e1.j) == (-0.1684, 0.0049, -0.1156)
     assert e1.readability == 59.9047
@@ -400,14 +405,21 @@ def test_reference_table_errors_name_their_line(tmp_path):
         ("R2,1909.BS.SelmaLagerlof", "short row: 2 cells, the header has 11"),
         ("R2,x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,oops", "row R2: non-numeric wqs='oops'"),
         ("R2,x,S,O,0.5,0.9,0.1,0.0,0.0,inf,0.1", "row R2: non-finite readability"),
-        ("R2,0999.x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,0.1", "year 999 outside"),
         (" R1 ,y,N,T,0.5,0.9,0.1,0.0,0.0,50.0,0.1", "duplicate id 'R1'"),
         # a row with two faults names the first one the checks meet
         ("R2,x,X,O,0.5,0.9,0.1,0.0,0.0,50.0,oops", "row R2: bad genre 'X'"),
         ("R2,0999.x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,oops", "row R2: non-numeric wqs='oops'"),
-        ("R2,0999.x,S,O,0.5,0.9,0.1,0.0,0.0,inf,0.1", "year 999 outside"),
     ):
         path.write_text(head + good + "# between\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:6: ")) as exc:
             load_reference_table(path, Language.ENGLISH, False)
         assert message in str(exc.value)
+
+
+def test_reference_row_name_with_any_year_prefix_loads(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("id,name,genre,origin,d,h,d_rel,h_rel,j,readability,wqs\n"
+                    "R1,0999.x,S,O,0.5,0.9,0.1,0.0,0.0,50.0,0.1\n", encoding="utf-8")
+    [row] = load_reference_table(path, Language.ENGLISH, False)
+    assert row.entry == CorpusEntry("R1", "0999.x", Genre.SPEECH, Language.ENGLISH,
+                                    Origin.ORIGINAL, False)
